@@ -139,27 +139,17 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` with x either (rows, in) or (in,), w (in, out), b (out,)."""
+    """``x @ w + b`` with x (rows, in), w (in, out), b (out,)."""
     xd, wd, bd = x.data, w.data, b.data
     if wd.ndim != 2 or bd.ndim != 1 or wd.shape[1] != bd.shape[0]:
         raise ValueError(f"affine: weight {wd.shape} and bias {bd.shape} disagree")
-    if xd.ndim == 2:
-        if xd.shape[1] != wd.shape[0]:
-            raise ValueError(f"affine: input {xd.shape} vs weight {wd.shape}")
-        return _out(
-            xd @ wd + bd,
-            (x, w, b),
-            lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)),
-        )
-    if xd.ndim == 1:
-        if xd.shape[0] != wd.shape[0]:
-            raise ValueError(f"affine: input {xd.shape} vs weight {wd.shape}")
-        return _out(
-            xd @ wd + bd,
-            (x, w, b),
-            lambda g: (wd @ g, np.outer(xd, g), g),
-        )
-    raise ValueError(f"affine: input must be 1-d or 2-d, got shape {xd.shape}")
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ValueError(f"affine: input {xd.shape} vs weight {wd.shape}")
+    return _out(
+        xd @ wd + bd,
+        (x, w, b),
+        lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)),
+    )
 
 
 def sigmoid(a: Tensor) -> Tensor:

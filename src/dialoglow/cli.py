@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import autodiff as ad
 from . import embeddings as emb
@@ -65,7 +63,6 @@ _MODEL_KEYS = {
     "hidden_size": int,
     "window_size": int,
     "fc_dims": _parse_dims,
-    "num_labels": int,
     "variant": str,
 }
 _TRAIN_KEYS = {
@@ -109,26 +106,6 @@ def _read_config_file(path: Path) -> dict:
     return out
 
 
-_FLAG_TO_MODEL = {
-    "variant": "variant",
-    "embed_dim": "embed_dim",
-    "hidden_size": "hidden_size",
-    "window_size": "window_size",
-    "fc_dims": "fc_dims",
-}
-_FLAG_TO_TRAIN = {
-    "seed": "seed",
-    "epochs": "epochs",
-    "lr": "lr0",
-    "decay": "decay",
-    "batch_size": "batch_size",
-    "dropout": "dropout",
-    "val_fraction": "val_fraction",
-    "grad_clip": "grad_clip",
-    "class_weights": "class_weights",
-}
-
-
 def _build_configs(args):
     """defaults < config file < flags. Returns (ModelConfig, TrainConfig, weight_mode)."""
     file_cfg = {"model": {}, "train": {}, "paths": {}}
@@ -136,14 +113,12 @@ def _build_configs(args):
         file_cfg = _read_config_file(Path(args.config))
     model_kw = dict(file_cfg["model"])
     train_kw = dict(file_cfg["train"])
-    for flag, field_name in _FLAG_TO_MODEL.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_kw[field_name] = _parse_dims(value) if flag == "fc_dims" else value
-    for flag, field_name in _FLAG_TO_TRAIN.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_kw[field_name] = value
+    # Every flag's dest is its config field name.
+    for keys, kw in ((_MODEL_KEYS, model_kw), (_TRAIN_KEYS, train_kw)):
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is not None:
+                kw[key] = _parse_dims(value) if key == "fc_dims" else value
 
     weight_mode = str(train_kw.pop("class_weights", "uniform")).strip()
     try:
@@ -204,8 +179,11 @@ def cmd_preprocess(args) -> int:
     data_dir = _data_dir({})
     path = _resolve_input(args.data, data_dir)
     ds = load_dataset(path, _split(args.split))
-    vocab = tr.vocab_from_dataset(ds, min_count=args.min_count)
-    stats = corpus_stats(ds, pp.prepare)
+    # prepare() is a pure function of its text: run it once per distinct text.
+    texts = [u.raw_text for d in ds.dialogues for u in d.utterances]
+    tokens = {text: pp.prepare(text) for text in dict.fromkeys(texts)}
+    vocab = pp.build_vocab((tokens[text] for text in texts), min_count=args.min_count)
+    stats = corpus_stats(ds, tokens.__getitem__)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +200,7 @@ def cmd_preprocess(args) -> int:
                     {
                         "speaker": u.speaker_id,
                         "gold": str(u.gold),
-                        "token_ids": vocab.encode(pp.prepare(u.raw_text)),
+                        "token_ids": vocab.encode(tokens[u.raw_text]),
                     }
                     for u in d.utterances
                 ],
@@ -373,17 +351,16 @@ def cmd_predict(args) -> int:
     path = _resolve_input(args.input, _data_dir({}))
     doc = _read_prediction_input(path)
 
-    annotated = []
+    # Window every dialogue of the file, score them all at once, then hand
+    # the labels back in order.
+    windows = []
     for dlg in doc:
         ids = [vocab.encode(pp.prepare(u["utterance"])) for u in dlg]
-        labels = []
-        for start in range(0, len(ids), cfg.window_size):
-            chunk = ids[start : start + cfg.window_size]
-            logits = m.forward_window(chunk, params, cfg)
-            labels += [str(LABEL_ORDER[i]) for i in mx.predict(logits.data)]
-        annotated.append(
-            [{**u, "predicted_emotion": label} for u, label in zip(dlg, labels)]
-        )
+        windows += [ids[i : i + cfg.window_size] for i in range(0, len(ids), cfg.window_size)]
+    labels = iter(mx.predict(tr.infer(windows, params, cfg)))
+    annotated = [
+        [{**u, "predicted_emotion": str(LABEL_ORDER[next(labels)])} for u in dlg] for dlg in doc
+    ]
 
     rendered = json.dumps(annotated, indent=2) + "\n"
     if args.out:
@@ -409,8 +386,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     started = time.monotonic()
     cfg = m.ModelConfig(
-        embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,),
-        num_labels=8, dropout_p=0.0, variant="sa-bilstm",
+        embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,), dropout_p=0.0,
+        variant="sa-bilstm",
     )
     vocab = pp.build_vocab([["red", "green", "blue", "amber", "plum"]])
     table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed)
@@ -462,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=m.VARIANTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="lr0", metavar="LR")
     p.add_argument("--decay", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--dropout", type=float)

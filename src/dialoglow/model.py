@@ -18,9 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import DialogueWindow
+from .corpus import LABEL_ORDER
 from .embeddings import EmbeddingTable
-from .preprocess import Vocab, prepare
 
 VARIANTS = ("bilstm", "sa-bilstm")
 
@@ -31,13 +30,12 @@ class ModelConfig:
     hidden_size: int = 256  # per direction
     window_size: int = 25  # max utterances attended to jointly
     fc_dims: tuple[int, ...] = (128, 128)
-    num_labels: int = 8
     dropout_p: float = 0.3
     variant: str = "sa-bilstm"
 
     def __post_init__(self):
         self.fc_dims = tuple(self.fc_dims)
-        if min(self.embed_dim, self.hidden_size, self.window_size, self.num_labels) < 1:
+        if min(self.embed_dim, self.hidden_size, self.window_size) < 1:
             raise ValueError(f"model dimensions must be positive: {self}")
         if any(d < 1 for d in self.fc_dims):
             raise ValueError(f"fc_dims must be positive: {self.fc_dims}")
@@ -95,11 +93,9 @@ class ModelParams:
             w = Tensor(_xavier(rng, width, out_dim, (width, out_dim)), requires_grad=True)
             fc.append((w, Tensor(np.zeros(out_dim), requires_grad=True)))
             width = out_dim
-        out_w = Tensor(
-            _xavier(rng, width, cfg.num_labels, (width, cfg.num_labels)),
-            requires_grad=True,
-        )
-        out_b = Tensor(np.zeros(cfg.num_labels), requires_grad=True)
+        labels = len(LABEL_ORDER)
+        out_w = Tensor(_xavier(rng, width, labels, (width, labels)), requires_grad=True)
+        out_b = Tensor(np.zeros(labels), requires_grad=True)
         return cls(
             embedding=embedding,
             lstm_fwd=dirs[0],
@@ -227,7 +223,7 @@ def forward_window(
     rng: "np.random.Generator | None" = None,
     n_pad: "int | None" = None,
 ) -> Tensor:
-    """Logits for the real utterances of one window, shape (n, num_labels)."""
+    """Logits for the real utterances of one window, shape (n, len(LABEL_ORDER))."""
     n = len(token_ids)
     if not 1 <= n <= cfg.window_size:
         raise ValueError(f"window holds {n} utterances, limit is {cfg.window_size}")
@@ -247,17 +243,3 @@ def forward_window(
     else:
         core = u_mat if u_mat.shape[0] == n else ad.narrow(u_mat, 0, n, axis=0)
     return classify(core, params, cfg, train, rng)
-
-
-def forward_dialogue(
-    window: DialogueWindow,
-    vocab: Vocab,
-    params: ModelParams,
-    cfg: ModelConfig,
-    train: bool = False,
-    rng: "np.random.Generator | None" = None,
-    n_pad: "int | None" = None,
-) -> Tensor:
-    """Text-level entry point: preprocess, encode and score one window."""
-    token_ids = [vocab.encode(prepare(u.raw_text)) for u in window.utterances]
-    return forward_window(token_ids, params, cfg, train=train, rng=rng, n_pad=n_pad)

@@ -213,22 +213,41 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt or truncated")
     (hlen,) = struct.unpack_from("<Q", data, 8)
     header_end = 16 + hlen
-    header = json.loads(data[16:header_end].decode("utf-8"))
     payload = data[header_end : len(data) - 4]
-    tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=entry["offset"])
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    mc = dict(header["model_config"])
-    mc["fc_dims"] = tuple(mc["fc_dims"])
-    return Checkpoint(
-        model_config=m.ModelConfig(**mc),
-        tensors=tensors,
-        vocab_sha256=header["vocab_sha256"],
-        metadata=header["metadata"],
-    )
+    try:
+        header = json.loads(data[16:header_end].decode("utf-8"))
+        tensors = {entry["name"]: _read_tensor(payload, entry) for entry in header["tensors"]}
+        mc = dict(header["model_config"])
+        # Older checkpoints record the output width; this build only scores len(LABEL_ORDER).
+        num_labels = mc.pop("num_labels", len(LABEL_ORDER))
+        mc["fc_dims"] = tuple(mc["fc_dims"])
+        ckpt = Checkpoint(
+            model_config=m.ModelConfig(**mc),
+            tensors=tensors,
+            vocab_sha256=header["vocab_sha256"],
+            metadata=header["metadata"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+    if num_labels != len(LABEL_ORDER):
+        raise CheckpointError(
+            f"{path}: model scores {num_labels} labels, this build scores {len(LABEL_ORDER)}"
+        )
+    return ckpt
+
+
+def _read_tensor(payload: bytes, entry: dict) -> np.ndarray:
+    """One float64 tensor of the payload, bound-checked against its length."""
+    shape, offset = tuple(entry["shape"]), entry["offset"]
+    if not all(isinstance(v, int) and v >= 0 for v in (offset, *shape)):
+        raise ValueError(f"tensor {entry['name']!r} has shape {shape} at offset {offset}")
+    count = math.prod(shape)
+    if offset + 8 * count > len(payload):
+        raise ValueError(f"tensor {entry['name']!r} runs past the end of the payload")
+    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+    return arr.reshape(shape).astype(np.float64)
 
 
 def params_from_checkpoint(ckpt: Checkpoint):
@@ -288,39 +307,21 @@ def encode_dataset(ds: Dataset, vocab: Vocab, window_size: int):
     return out
 
 
-def _score_windows(windows, params, cfg):
-    """(wa, uwa) over pre-encoded windows, or (None, None) if nothing scored."""
-    preds, golds = [], []
-    for ids_list, gs in windows:
-        logits = m.forward_window(ids_list, params, cfg)
-        preds += mx.predict(logits.data)
-        golds += gs
-    cm = mx.confusion(preds, golds)
-    if cm.total == 0:
-        return None, None
-    return mx.wa(cm), mx.uwa(cm)
+def infer(windows, params, cfg) -> np.ndarray:
+    """Logits of every utterance of the token-id windows, in order: (n, len(LABEL_ORDER))."""
+    parts = [m.forward_window(ids_list, params, cfg).data for ids_list in windows]
+    return np.concatenate(parts) if parts else np.zeros((0, len(LABEL_ORDER)))
+
+
+def _scoring_windows(ds: Dataset, vocab: Vocab, window_size: int):
+    """(token-id windows, gold indices) over every utterance of ds, in order."""
+    windows = [w for dlg in encode_dataset(ds, vocab, window_size) for w in dlg]
+    return [ids_list for ids_list, _ in windows], [g for _, gs in windows for g in gs]
 
 
 def evaluate_dataset(ds: Dataset, vocab: Vocab, params, cfg) -> mx.EvalReport:
-    preds, golds = [], []
-    for dlg in encode_dataset(ds, vocab, cfg.window_size):
-        for ids_list, gs in dlg:
-            logits = m.forward_window(ids_list, params, cfg)
-            preds += mx.predict(logits.data)
-            golds += gs
-    return mx.report(preds, golds)
-
-
-def predict_dataset(ds: Dataset, vocab: Vocab, params, cfg):
-    """Predicted labels per dialogue, aligned with ds.dialogues order."""
-    out = []
-    for dlg in encode_dataset(ds, vocab, cfg.window_size):
-        labels = []
-        for ids_list, _ in dlg:
-            logits = m.forward_window(ids_list, params, cfg)
-            labels += [LABEL_ORDER[i] for i in mx.predict(logits.data)]
-        out.append(labels)
-    return out
+    windows, golds = _scoring_windows(ds, vocab, cfg.window_size)
+    return mx.report(mx.predict(infer(windows, params, cfg)), golds)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def train(
     vocab_hash = vocab_content_sha256(vocab)
 
     by_dialogue = encode_dataset(train_ds, vocab, cfg.window_size)
-    val_windows = [w for dlg in encode_dataset(val_ds, vocab, cfg.window_size) for w in dlg]
+    val_windows, val_golds = _scoring_windows(val_ds, vocab, cfg.window_size)
     flat = [
         ([ids], [g])
         for dlg in by_dialogue
@@ -430,7 +431,8 @@ def train(
                 if loss is not None:
                     losses.append(loss)
 
-        val_wa, val_uwa = _score_windows(val_windows, params, cfg)
+        cm = mx.confusion(mx.predict(infer(val_windows, params, cfg)), val_golds)
+        val_wa, val_uwa = (mx.wa(cm), mx.uwa(cm)) if cm.total else (None, None)
         row = {
             "epoch": epoch,
             "lr": lr,

@@ -56,7 +56,7 @@ def test_criterion_2_attention_unit_suite():
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
 
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=25, fc_dims=(8,),
-                        num_labels=8, dropout_p=0.0, variant="sa-bilstm")
+                        dropout_p=0.0, variant="sa-bilstm")
     vocab = pp.build_vocab([["aa", "bb", "cc"]])
     params = m.ModelParams.init(cfg, emb.random_table(vocab, 8, seed=1), seed=2)
     ids = [vocab.encode(t.split()) for t in ("aa bb", "cc", "bb cc aa")]
@@ -75,7 +75,7 @@ def test_criterion_3_loss_weighting():
     # every gold outside the considered set: constant-zero loss, no
     # differentiable path, hence exactly zero gradient for every parameter
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=4, fc_dims=(8,),
-                        num_labels=8, dropout_p=0.0, variant="sa-bilstm")
+                        dropout_p=0.0, variant="sa-bilstm")
     vocab = pp.build_vocab([["aa", "bb"]])
     params = m.ModelParams.init(cfg, emb.random_table(vocab, 8, seed=3), seed=4)
     with ad.Tape() as tape:
@@ -114,7 +114,7 @@ def test_criterion_5_synthetic_overfit():
     ds = synthetic.build(n_dialogues=20, seed=0)
     vocab = tr.vocab_from_dataset(ds)
     cfg = m.ModelConfig(embed_dim=16, hidden_size=8, window_size=8, fc_dims=(16,),
-                        num_labels=8, dropout_p=0.0, variant="sa-bilstm")
+                        dropout_p=0.0, variant="sa-bilstm")
     table = emb.random_table(vocab, cfg.embed_dim, seed=1)
     tcfg = tr.TrainConfig(epochs=60, lr0=0.02, decay=0.995, dropout=0.0,
                           seed=0, val_fraction=0.0)

@@ -83,11 +83,6 @@ def _case_affine2(rng):
     return [x, w, b], lambda: ad.affine(x, w, b)
 
 
-def _case_affine1(rng):
-    x, w, b = rand(rng, 4), rand(rng, 4, 2), rand(rng, 2)
-    return [x, w, b], lambda: ad.affine(x, w, b)
-
-
 def _case_sigmoid(rng):
     a = rand(rng, 4, 3)
     return [a], lambda: ad.sigmoid(a)
@@ -179,7 +174,6 @@ PRIMITIVE_CASES = [
     _case_matmul21,
     _case_transpose,
     _case_affine2,
-    _case_affine1,
     _case_sigmoid,
     _case_tanh,
     _case_relu,

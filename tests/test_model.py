@@ -9,7 +9,7 @@ from dialoglow import autodiff as ad
 from dialoglow import embeddings as emb
 from dialoglow import model as m
 from dialoglow import preprocess as pp
-from dialoglow.corpus import DialogueWindow, EmotionLabel, Utterance
+from dialoglow.corpus import LABEL_ORDER
 
 
 def tiny_cfg(**over):
@@ -18,7 +18,6 @@ def tiny_cfg(**over):
         hidden_size=3,
         window_size=4,
         fc_dims=(4,),
-        num_labels=4,
         dropout_p=0.0,
         variant="sa-bilstm",
     )
@@ -53,7 +52,7 @@ def test_init_forget_bias_one_and_xavier_bounds():
         bound = math.sqrt(6.0 / (d + l + 4 * l))
         assert direction.w.shape == (4 * l, d + l)
         assert np.all(np.abs(direction.w.data) <= bound)
-    assert np.array_equal(params.out_b.data, np.zeros(cfg.num_labels))
+    assert np.array_equal(params.out_b.data, np.zeros(len(LABEL_ORDER)))
     _, _, again = tiny_setup(seed=3)
     assert np.array_equal(params.lstm_fwd.w.data, again.lstm_fwd.w.data)
 
@@ -205,7 +204,7 @@ def test_forward_window_padding_invariance_bit_exact():
     plain = m.forward_window(ids, params, cfg, n_pad=3)
     padded = m.forward_window(ids, params, cfg, n_pad=25)
     unspecified = m.forward_window(ids, params, cfg)
-    assert plain.shape == (3, cfg.num_labels)
+    assert plain.shape == (3, len(LABEL_ORDER))
     assert np.array_equal(plain.data, padded.data)
     assert np.array_equal(plain.data, unspecified.data)
     # Same seeds make even training-mode dropout line up.
@@ -255,7 +254,7 @@ def test_classify_rejects_vectors_and_handles_empty_stack():
         m.classify(ad.Tensor(np.zeros(6)), params, cfg)
     cfg2, _, params2 = tiny_setup(fc_dims=())
     x = ad.Tensor(np.random.default_rng(0).normal(size=(2, cfg2.sentence_dim)))
-    assert m.classify(x, params2, cfg2).shape == (2, cfg2.num_labels)
+    assert m.classify(x, params2, cfg2).shape == (2, len(LABEL_ORDER))
 
 
 def test_forward_window_validates_shape():
@@ -267,20 +266,6 @@ def test_forward_window_validates_shape():
         m.forward_window([[]], params, cfg)
     with pytest.raises(ValueError):
         m.forward_window(window_ids(vocab, ["aa", "bb"]), params, cfg, n_pad=1)
-
-
-def test_forward_dialogue_runs_from_raw_text():
-    cfg, vocab, params = tiny_setup()
-    w = DialogueWindow(
-        source_dialogue_id="d0",
-        start_index=0,
-        utterances=[
-            Utterance("a", "aa bb!", EmotionLabel.JOY),
-            Utterance("b", "cc?", EmotionLabel.NEUTRAL),
-        ],
-    )
-    logits = m.forward_dialogue(w, vocab, params, cfg)
-    assert logits.shape == (2, cfg.num_labels)
 
 
 def test_forward_window_end_to_end_gradients_match_fd():

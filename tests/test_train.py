@@ -1,17 +1,21 @@
 import dataclasses
+import json
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from dialoglow import autodiff as ad
+from dialoglow import cli
 from dialoglow import embeddings as emb
+from dialoglow import metrics as mx
 from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
-from dialoglow.corpus import EmotionLabel
+from dialoglow.corpus import EmotionLabel, serialize_dataset
 
 
 def tiny_model_cfg(**over):
@@ -20,7 +24,6 @@ def tiny_model_cfg(**over):
         hidden_size=4,
         window_size=4,
         fc_dims=(8,),
-        num_labels=8,
         dropout_p=0.0,
         variant="sa-bilstm",
     )
@@ -298,6 +301,47 @@ def test_frozen_embedding_survives_the_round_trip(tmp_path):
     assert not rebuilt.embedding.weights.requires_grad
 
 
+def reseal_header(path, edit):
+    """Apply edit to a saved checkpoint's JSON header and recompute the checksum."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(hbytes)) + hbytes + blob[16 + hlen : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def test_checkpoint_label_count_from_older_headers_must_be_eight(tmp_path):
+    _, path, _, cfg, _ = saved_checkpoint(tmp_path)
+    reseal_header(path, lambda h: h["model_config"].update(num_labels=8))
+    assert tr.load_checkpoint(path).model_config == cfg
+    reseal_header(path, lambda h: h["model_config"].update(num_labels=4))
+    with pytest.raises(tr.CheckpointError, match="4 labels"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 8),
+        lambda h: h["tensors"][0].update(shape=[10**6, 8]),
+        lambda h: h.pop("tensors"),
+    ],
+    ids=["offset-past-payload", "shape-past-payload", "no-tensor-directory"],
+)
+def test_checksum_valid_malformed_checkpoint_fails_as_input_error(tmp_path, capsys, edit):
+    _, path, vocab, *_ = saved_checkpoint(tmp_path)
+    reseal_header(path, edit)
+    with pytest.raises(tr.CheckpointError):
+        tr.load_checkpoint(path)
+    vocab.save(tmp_path / "vocab.txt")
+    data = tmp_path / "dialogues.json"
+    data.write_text(json.dumps(serialize_dataset(synthetic.build(n_dialogues=2))), encoding="utf-8")
+    assert cli.main(["eval", str(path), str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- the loop ---------------------------------------------------------------
 
 
@@ -382,15 +426,37 @@ def test_train_loss_trends_down_on_the_synthetic_set():
     assert losses[-1] < losses[0]
 
 
-def test_evaluate_and_predict_agree(tmp_path):
-    ds, vocab, cfg, table = tiny_world(n_dialogues=4)
+def test_cli_predict_labels_tally_to_evaluate_dataset(tmp_path):
+    ds, vocab, cfg, table = tiny_world()
+    assert any(len(d) > cfg.window_size for d in ds.dialogues)
     params = m.ModelParams.init(cfg, table, seed=0)
-    report = tr.evaluate_dataset(ds, vocab, params, cfg)
-    preds = tr.predict_dataset(ds, vocab, params, cfg)
-    assert [len(p) for p in preds] == [len(d.utterances) for d in ds.dialogues]
-    flat = [p for dlg in preds for p in dlg]
-    golds = [u.gold for d in ds.dialogues for u in d.utterances]
-    import dialoglow.metrics as mx
+    # Seeded init gives every utterance one label; centring the output bias on
+    # the mean logit spreads the predictions so a misaligned tally shows.
+    windows = [ids for dlg in tr.encode_dataset(ds, vocab, cfg.window_size) for ids, _ in dlg]
+    params.out_b.data = -tr.infer(windows, params, cfg).mean(axis=0)
+    ckpt = tr.Checkpoint(
+        model_config=cfg,
+        tensors={k: t.data.copy() for k, t in params.named_tensors().items()},
+        vocab_sha256=pp.vocab_content_sha256(vocab),
+        metadata={"embedding": {"oov_count": table.oov_count, "trainable": True}},
+    )
+    ckpt_path = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(ckpt, ckpt_path)
+    vocab.save(tmp_path / "vocab.txt")
+    data = tmp_path / "dialogues.json"
+    data.write_text(json.dumps(serialize_dataset(ds)), encoding="utf-8")
+    out = tmp_path / "predicted.json"
+    assert cli.main(["predict", str(ckpt_path), str(data), "--out", str(out)]) == 0
 
-    again = mx.report([list(EmotionLabel).index(p) for p in flat], golds)
-    assert again.to_json_dict() == report.to_json_dict()
+    predicted = json.loads(out.read_text(encoding="utf-8"))
+    assert [len(dlg) for dlg in predicted] == [len(d) for d in ds.dialogues]
+    preds = [EmotionLabel.parse(u["predicted_emotion"]) for dlg in predicted for u in dlg]
+    golds = [u.gold for d in ds.dialogues for u in d.utterances]
+    report = tr.evaluate_dataset(ds, vocab, params, cfg)
+    assert len(set(preds)) > 1
+    assert mx.report(preds, golds).to_json_dict() == report.to_json_dict()
+
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    assert cli.main(["predict", str(ckpt_path), str(empty), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == []
