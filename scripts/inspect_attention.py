@@ -10,8 +10,6 @@ from every utterance in the window. Rows sum to 1.
 
 import argparse
 
-import numpy as np
-
 from dialoglow import autodiff as ad
 from dialoglow import embeddings as emb
 from dialoglow import model as m
@@ -21,13 +19,8 @@ from dialoglow import train as tr
 
 
 def attention_matrix(texts, vocab, params, cfg):
-    vectors = []
-    for text in texts:
-        ids = vocab.encode(pp.prepare(text))
-        vectors.append(m.encode_sentence(ids, len(ids), params, cfg))
-    u = ad.stack_rows(vectors)
-    scores = m.attention_scores(u, u.shape[0])
-    return ad.masked_softmax(scores, np.ones(u.shape[0], dtype=bool)).data
+    u = m.encode_sentence([vocab.encode(pp.prepare(t)) for t in texts], params, cfg)
+    return ad.softmax(m.attention_scores(u, u.shape[0])).data
 
 
 def main():

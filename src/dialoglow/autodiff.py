@@ -120,17 +120,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for 2-d x 2-d or 2-d x 1-d operands."""
+    """``a @ b`` for 2-d operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: inner dims differ, {ad.shape} vs {bd.shape}")
-        return _out(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: inner dims differ, {ad.shape} vs {bd.shape}")
-        return _out(ad @ bd, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
-    raise ValueError(f"matmul: unsupported operand ranks, {ad.shape} vs {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul: unsupported operand ranks, {ad.shape} vs {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul: inner dims differ, {ad.shape} vs {bd.shape}")
+    return _out(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -150,16 +146,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         (x, w, b),
         lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)),
     )
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = expit(a.data)
-    return _out(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _out(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -196,58 +182,21 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=axis), parts, rule)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack k same-length vectors into a (k, n) matrix."""
-    rows = tuple(rows)
-    if not rows:
-        raise ValueError("stack_rows: need at least one row")
-    n = rows[0].shape
-    if any(r.ndim != 1 or r.shape != n for r in rows):
+def narrow(a: Tensor, start: int, length: int) -> Tensor:
+    """Rows ``start`` to ``start + length`` of a matrix."""
+    _require_shape("narrow", a.shape, 2)
+    if start < 0 or length < 1 or start + length > a.shape[0]:
         raise ValueError(
-            "stack_rows: rows must be equal-length vectors, shapes "
-            + ", ".join(str(r.shape) for r in rows)
+            f"narrow: rows [{start}:{start + length}] out of range for shape {a.shape}"
         )
-    return _out(
-        np.stack([r.data for r in rows]),
-        rows,
-        lambda g: tuple(g[i] for i in range(len(rows))),
-    )
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    _require_shape("row", a.shape, 2)
-    if not 0 <= i < a.shape[0]:
-        raise ValueError(f"row: index {i} out of range for shape {a.shape}")
     shape = a.shape
 
     def rule(g):
         out = np.zeros(shape)
-        out[i] = g
+        out[start : start + length] = g
         return (out,)
 
-    return _out(a.data[i].copy(), (a,), rule)
-
-
-def narrow(a: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    if axis not in (0, 1) or axis >= a.ndim:
-        raise ValueError(f"narrow: bad axis {axis} for shape {a.shape}")
-    if start < 0 or length < 1 or start + length > a.shape[axis]:
-        raise ValueError(
-            f"narrow: slice [{start}:{start + length}] out of range for shape {a.shape}"
-        )
-    shape = a.shape
-    sl: tuple = (slice(start, start + length),) if axis == 0 else (
-        slice(None),
-        slice(start, start + length),
-    )
-
-    def rule(g):
-        out = np.zeros(shape)
-        out[sl] = g
-        return (out,)
-
-    return _out(a.data[sl].copy(), (a,), rule)
+    return _out(a.data[start : start + length].copy(), (a,), rule)
 
 
 def pad_rows(a: Tensor, total_rows: int) -> Tensor:
@@ -263,16 +212,17 @@ def pad_rows(a: Tensor, total_rows: int) -> Tensor:
     return _out(padded, (a,), lambda g: (g[:n],))
 
 
-def gather_rows(a: Tensor, ids: Sequence[int], stop_grad_rows: Iterable[int] = ()) -> Tensor:
-    """Select rows ``ids`` from a matrix; gradient scatter-adds back.
+def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
+    """Select rows of a matrix by an index array of any rank; gradient scatter-adds back.
 
-    Rows listed in ``stop_grad_rows`` never receive gradient, which keeps
-    reserved rows (like an all-zero padding row) fixed under training.
+    The result has shape ``ids.shape + (a.shape[1],)``. Rows listed in
+    ``stop_grad_rows`` never receive gradient, which keeps reserved rows
+    (like an all-zero padding row) fixed under training.
     """
     _require_shape("gather_rows", a.shape, 2)
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("gather_rows: ids must be a non-empty 1-d index list")
+    if idx.size == 0:
+        raise ValueError("gather_rows: ids must be a non-empty index array")
     if idx.min() < 0 or idx.max() >= a.shape[0]:
         raise ValueError(f"gather_rows: ids out of range for shape {a.shape}")
     shape = a.shape
@@ -292,81 +242,108 @@ def gather_rows(a: Tensor, ids: Sequence[int], stop_grad_rows: Iterable[int] = (
 # model-specific primitives
 
 
-def max_over_time(h: Tensor, valid_len: int) -> Tensor:
-    """Columnwise max over the first ``valid_len`` rows of a (steps, k) matrix.
+def _lengths(name: str, lengths, n: int, steps: int) -> np.ndarray:
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
+        raise ValueError(f"{name}: need {n} lengths in [1, {steps}], got {lengths!r}")
+    return lens
 
-    Gradient flows to the first row attaining each column's max, matching
-    numpy's argmax tie-breaking.
+
+def lstm(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a padded batch, every row in lockstep.
+
+    ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
+    by padding. ``w`` is (4h, d + h) acting on [x_t, h_prev] and ``b`` is
+    (4h,), gates stacked input, forget, cell, output; no peepholes. Returns
+    (n, steps, h): the hidden state at every real step, exact zeros at
+    padding. A row's state changes only at its real steps, and ``reverse``
+    starts each row at its own last real step, so padding never enters a
+    real step. The input projection of all steps is one GEMM; only
+    ``h @ w_h.T`` runs step by step, and the backward pass is hand-written
+    BPTT whose weight gradient is one GEMM over all steps.
     """
-    _require_shape("max_over_time", h.shape, 2)
-    if valid_len < 1 or valid_len > h.shape[0]:
-        raise ValueError(f"max_over_time: valid_len {valid_len} out of range for {h.shape}")
-    sub = h.data[:valid_len]
-    arg = np.argmax(sub, axis=0)
-    cols = np.arange(h.shape[1])
+    _require_shape("lstm", x.shape, 3)
+    n, steps, d = x.shape
+    hid = w.shape[0] // 4
+    if w.shape != (4 * hid, d + hid) or b.shape != (4 * hid,):
+        raise ValueError(f"lstm: input {x.shape}, weight {w.shape} and bias {b.shape} disagree")
+    lens = _lengths("lstm", lengths, n, steps)
+    t = np.arange(steps)
+    real = t < lens[:, None]
+    # order[r, s]: the step row r reads at lockstep s. It is its own inverse.
+    order = np.where(real, lens[:, None] - 1 - t, t) if reverse else np.broadcast_to(t, (n, steps))
+    real = real.T[:, :, None]  # (steps, n, 1), time-major like the state
+    rows = np.arange(n)
+    w_x, w_h = w.data[:, :d], w.data[:, d:]
+    xs = x.data[rows, order.T]  # (steps, n, d)
+    pre = (xs.reshape(-1, d) @ w_x.T + b.data).reshape(steps, n, 4 * hid)
+    acts = np.empty_like(pre)  # gate activations i, f, g, o
+    cells = np.zeros((steps + 1, n, hid))  # cells[s], hs[s]: state entering step s
+    hs = np.zeros((steps + 1, n, hid))
+    tanh_c = np.empty((steps, n, hid))
+    for s in range(steps):
+        z = pre[s] + hs[s] @ w_h.T
+        a = acts[s]
+        a[:] = expit(z)
+        a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
+        i, f, g, o = np.split(a, 4, axis=1)
+        c = f * cells[s] + i * g
+        tanh_c[s] = np.tanh(c)
+        cells[s + 1] = np.where(real[s], c, cells[s])
+        hs[s + 1] = np.where(real[s], o * tanh_c[s], hs[s])
+    out = np.where(real, hs[1:], 0.0)[order, rows[:, None]]
+
+    def rule(gy):
+        dh_out = np.where(real, gy[rows, order.T], 0.0)
+        d_pre = np.empty_like(pre)
+        dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
+        for s in reversed(range(steps)):
+            i, f, g, o = np.split(acts[s], 4, axis=1)
+            dh = dh + dh_out[s]
+            dc = dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
+            da = d_pre[s]
+            da[:, :hid] = dc * g * i * (1.0 - i)
+            da[:, hid : 2 * hid] = dc * cells[s] * f * (1.0 - f)
+            da[:, 2 * hid : 3 * hid] = dc * i * (1.0 - g * g)
+            da[:, 3 * hid :] = dh * tanh_c[s] * o * (1.0 - o)
+            dh = da @ w_h
+            dc = dc * f
+        dz = d_pre.reshape(-1, 4 * hid)
+        inputs = np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, d + hid)
+        dx = (dz @ w_x).reshape(steps, n, d)[order, rows[:, None]]
+        return dx, dz.T @ inputs, dz.sum(axis=0)
+
+    return _out(out, (x, w, b), rule)
+
+
+def max_over_time(h: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Max over the first ``lengths[r]`` steps of each row of an (n, steps, k) batch.
+
+    Returns (n, k). Gradient flows to the first step attaining each max,
+    matching numpy's argmax tie-breaking; padding steps never take part.
+    """
+    _require_shape("max_over_time", h.shape, 3)
+    n, steps, k = h.shape
+    lens = _lengths("max_over_time", lengths, n, steps)
+    real = (np.arange(steps) < lens[:, None])[:, :, None]
+    arg = np.argmax(np.where(real, h.data, -np.inf), axis=1)
+    rows, cols = np.arange(n)[:, None], np.arange(k)
     shape = h.shape
 
     def rule(g):
         out = np.zeros(shape)
-        out[arg, cols] = g
+        out[rows, arg, cols] = g
         return (out,)
 
-    return _out(sub[arg, cols].copy(), (h,), rule)
+    return _out(h.data[rows, arg, cols], (h,), rule)
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over unmasked entries; masked entries are exactly zero.
-
-    ``scores`` may be a vector with a same-length boolean mask, or a
-    (rows, k) matrix with a (k,) mask applied to every row. The max of the
-    unmasked scores is subtracted before exponentiation, so masked-out
-    positions never enter the arithmetic at all.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1:
-        raise ValueError(f"masked_softmax: mask must be 1-d, got shape {mask.shape}")
-    if not mask.any():
-        raise ValueError("masked_softmax: mask excludes every position")
-    if scores.ndim == 1:
-        if scores.shape != mask.shape:
-            raise ValueError(
-                f"masked_softmax: scores {scores.shape} vs mask {mask.shape}"
-            )
-        sel = scores.data[mask]
-        e = np.exp(sel - sel.max())
-        p = e / e.sum()
-        out = np.zeros(scores.shape)
-        out[mask] = p
-        shape = scores.shape
-
-        def rule(g):
-            gs = g[mask]
-            grad = np.zeros(shape)
-            grad[mask] = p * (gs - np.dot(gs, p))
-            return (grad,)
-
-        return _out(out, (scores,), rule)
-    if scores.ndim == 2:
-        if scores.shape[1] != mask.shape[0]:
-            raise ValueError(
-                f"masked_softmax: scores {scores.shape} vs mask {mask.shape}"
-            )
-        sub = scores.data[:, mask]
-        e = np.exp(sub - sub.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        out = np.zeros(scores.shape)
-        out[:, mask] = p
-        shape = scores.shape
-
-        def rule(g):
-            gs = g[:, mask]
-            inner = np.sum(gs * p, axis=1, keepdims=True)
-            grad = np.zeros(shape)
-            grad[:, mask] = p * (gs - inner)
-            return (grad,)
-
-        return _out(out, (scores,), rule)
-    raise ValueError(f"masked_softmax: scores must be 1-d or 2-d, got {scores.shape}")
+def softmax(scores: Tensor) -> Tensor:
+    """Row-wise softmax of a matrix; each row's max is subtracted before exponentiation."""
+    _require_shape("softmax", scores.shape, 2)
+    e = np.exp(scores.data - scores.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return _out(p, (scores,), lambda g: (p * (g - np.sum(g * p, axis=1, keepdims=True)),))
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: "np.random.Generator | None" = None) -> Tensor:

@@ -24,6 +24,7 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation
+from .files import write_atomic
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -161,7 +162,7 @@ def _config_echo(mcfg, tcfg) -> dict:
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _split(name: str) -> Split:
@@ -308,6 +309,11 @@ def _load_model(args):
         )
     vocab = pp.Vocab.load(vocab_path)
     cfg, params = tr.params_from_checkpoint(ckpt)
+    if params.embedding.vocab_size != len(vocab):
+        raise tr.CheckpointError(
+            f"{ckpt_path}: tensor 'embedding' has {params.embedding.vocab_size} rows, "
+            f"{vocab_path} holds {len(vocab)} tokens"
+        )
     return ckpt, vocab, cfg, params
 
 
@@ -366,7 +372,7 @@ def cmd_predict(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered, encoding="utf-8")
+        write_atomic(out, rendered.encode("utf-8"))
         # Keep the prediction schema pure; provenance rides in a sidecar.
         _write_json(
             out.with_name(out.name + ".meta.json"),

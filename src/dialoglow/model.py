@@ -2,7 +2,8 @@
 
 Per utterance, a single-layer BiLSTM reads the word vectors in both
 directions; each time step's two hidden states are concatenated and
-max-pooled over time into one sentence vector. The "sa-bilstm" variant
+max-pooled over time into one sentence vector. A window's utterances are
+encoded in lockstep, by one LSTM op per direction. The "sa-bilstm" variant
 then lets every utterance in a window attend over all the others with
 scaled dot-product weights before a shared fully-connected stack scores
 the labels; the "bilstm" variant skips straight from sentence vector to
@@ -20,6 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import LABEL_ORDER
 from .embeddings import EmbeddingTable
+from .preprocess import PAD_ID
 
 VARIANTS = ("bilstm", "sa-bilstm")
 
@@ -58,9 +60,18 @@ class LstmDirection:
     b: Tensor  # (4*hidden,)
 
 
-def _xavier(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor but the embedding, by name, in a fixed order."""
+    l, d = cfg.hidden_size, cfg.embed_dim
+    shapes = {}
+    for direction in ("lstm_fwd", "lstm_bwd"):
+        shapes[f"{direction}.w"], shapes[f"{direction}.b"] = (4 * l, d + l), (4 * l,)
+    width = cfg.sentence_dim
+    for i, out_dim in enumerate([*cfg.fc_dims, len(LABEL_ORDER)]):
+        layer = f"fc{i}" if i < len(cfg.fc_dims) else "out"
+        shapes[f"{layer}.w"], shapes[f"{layer}.b"] = (width, out_dim), (out_dim,)
+        width = out_dim
+    return shapes
 
 
 @dataclass
@@ -80,29 +91,30 @@ class ModelParams:
                 f"embedding dim {embedding.dim} does not match config {cfg.embed_dim}"
             )
         rng = ad.seeded_rng(seed)
-        l, d = cfg.hidden_size, cfg.embed_dim
-        dirs = []
-        for _ in range(2):
-            w = Tensor(_xavier(rng, d + l, 4 * l, (4 * l, d + l)), requires_grad=True)
-            b = np.zeros(4 * l)
-            b[l : 2 * l] = 1.0
-            dirs.append(LstmDirection(w=w, b=Tensor(b, requires_grad=True)))
-        fc = []
-        width = cfg.sentence_dim
-        for out_dim in cfg.fc_dims:
-            w = Tensor(_xavier(rng, width, out_dim, (width, out_dim)), requires_grad=True)
-            fc.append((w, Tensor(np.zeros(out_dim), requires_grad=True)))
-            width = out_dim
-        labels = len(LABEL_ORDER)
-        out_w = Tensor(_xavier(rng, width, labels, (width, labels)), requires_grad=True)
-        out_b = Tensor(np.zeros(labels), requires_grad=True)
+        l = cfg.hidden_size
+        named = {}
+        for name, shape in param_shapes(cfg).items():
+            if name.endswith(".w"):
+                bound = math.sqrt(6.0 / sum(shape))
+                named[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            else:
+                named[name] = Tensor(np.zeros(shape), requires_grad=True)
+                if name.startswith("lstm"):
+                    named[name].data[l : 2 * l] = 1.0
+        return cls.from_named(cfg, embedding, named)
+
+    @classmethod
+    def from_named(
+        cls, cfg: ModelConfig, embedding: EmbeddingTable, named: dict[str, Tensor]
+    ) -> "ModelParams":
+        """Assemble from tensors keyed as in ``param_shapes(cfg)``."""
         return cls(
             embedding=embedding,
-            lstm_fwd=dirs[0],
-            lstm_bwd=dirs[1],
-            fc=fc,
-            out_w=out_w,
-            out_b=out_b,
+            lstm_fwd=LstmDirection(w=named["lstm_fwd.w"], b=named["lstm_fwd.b"]),
+            lstm_bwd=LstmDirection(w=named["lstm_bwd.w"], b=named["lstm_bwd.b"]),
+            fc=[(named[f"fc{i}.w"], named[f"fc{i}.b"]) for i in range(len(cfg.fc_dims))],
+            out_w=named["out.w"],
+            out_b=named["out.b"],
         )
 
     def named_tensors(self) -> dict[str, Tensor]:
@@ -125,53 +137,30 @@ class ModelParams:
         return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
 
 
-def lstm_cell_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmDirection):
-    """One LSTM step; returns (h, c). No peephole connections."""
-    hidden = h_prev.shape[0]
-    gates = ad.add(ad.matmul(p.w, ad.concat([x, h_prev])), p.b)
-    i = ad.sigmoid(ad.narrow(gates, 0, hidden))
-    f = ad.sigmoid(ad.narrow(gates, hidden, hidden))
-    g = ad.tanh(ad.narrow(gates, 2 * hidden, hidden))
-    o = ad.sigmoid(ad.narrow(gates, 3 * hidden, hidden))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
 def encode_sentence(
-    ids: Sequence[int], valid_len: int, params: ModelParams, cfg: ModelConfig
+    token_ids: Sequence[Sequence[int]], params: ModelParams, cfg: ModelConfig
 ) -> Tensor:
-    """Pooled bidirectional sentence vector for one token-id sequence.
+    """Pooled bidirectional sentence vectors of a window's utterances, (n, sentence_dim).
 
-    Only the first ``valid_len`` ids take part, so trailing padding ids can
-    never change the result.
+    The utterances run in lockstep, padded with PAD_ID to the longest one:
+    one embedding lookup and one LSTM op per direction for the whole
+    window. Padding never reaches a real step or the pooled maximum.
     """
-    if valid_len < 1 or valid_len > len(ids):
-        raise ValueError(f"valid_len {valid_len} out of range for {len(ids)} ids")
-    ids = list(ids)[:valid_len]
-    m = len(ids)
-    embedded = params.embedding.lookup(ids)
-    xs = [ad.row(embedded, t) for t in range(m)]
-    zeros = lambda: Tensor(np.zeros(cfg.hidden_size))
-    h, c = zeros(), zeros()
-    fwd = []
-    for t in range(m):
-        h, c = lstm_cell_step(xs[t], h, c, params.lstm_fwd)
-        fwd.append(h)
-    h, c = zeros(), zeros()
-    bwd = [None] * m
-    for t in reversed(range(m)):
-        h, c = lstm_cell_step(xs[t], h, c, params.lstm_bwd)
-        bwd[t] = h
-    steps = [ad.concat([fwd[t], bwd[t]]) for t in range(m)]
-    return ad.max_over_time(ad.stack_rows(steps), m)
+    lengths = [len(ids) for ids in token_ids]
+    padded = np.full((len(token_ids), max(lengths)), PAD_ID)
+    for row, ids in zip(padded, token_ids):
+        row[: len(ids)] = ids
+    x = params.embedding.lookup(padded)
+    fwd = ad.lstm(x, lengths, params.lstm_fwd.w, params.lstm_fwd.b)
+    bwd = ad.lstm(x, lengths, params.lstm_bwd.w, params.lstm_bwd.b, reverse=True)
+    return ad.max_over_time(ad.concat([fwd, bwd], axis=2), lengths)
 
 
 def attention_scores(u_mat: Tensor, n: int) -> Tensor:
     """Pairwise dot products of sentence vectors, scaled by 1/sqrt(width).
 
     Entries touching rows or columns at and beyond ``n`` belong to padding;
-    downstream softmax masking keeps them at exactly zero weight.
+    self_attend narrows them away before the softmax.
     """
     if u_mat.ndim != 2:
         raise ValueError(f"attention_scores: need a matrix, got shape {u_mat.shape}")
@@ -194,8 +183,8 @@ def self_attend(u_mat: Tensor, n: int) -> Tensor:
     total = u_mat.shape[0]
     if not 1 <= n <= total:
         raise ValueError(f"self_attend: n {n} out of range for {u_mat.shape}")
-    core = u_mat if n == total else ad.narrow(u_mat, 0, n, axis=0)
-    weights = ad.masked_softmax(attention_scores(core, n), np.ones(n, dtype=bool))
+    core = u_mat if n == total else ad.narrow(u_mat, 0, n)
+    weights = ad.softmax(attention_scores(core, n))
     mixed = ad.matmul(weights, core)
     return mixed if n == total else ad.pad_rows(mixed, total)
 
@@ -229,8 +218,7 @@ def forward_window(
         raise ValueError(f"window holds {n} utterances, limit is {cfg.window_size}")
     if any(len(ids) == 0 for ids in token_ids):
         raise ValueError("every utterance needs at least one token id")
-    u_rows = [encode_sentence(ids, len(ids), params, cfg) for ids in token_ids]
-    u_mat = ad.stack_rows(u_rows)
+    u_mat = encode_sentence(token_ids, params, cfg)
     if n_pad is not None:
         if n_pad < n:
             raise ValueError(f"n_pad {n_pad} smaller than window size {n}")
@@ -238,8 +226,8 @@ def forward_window(
             u_mat = ad.pad_rows(u_mat, n_pad)
     if cfg.variant == "sa-bilstm":
         mixed = self_attend(u_mat, n)
-        core = mixed if mixed.shape[0] == n else ad.narrow(mixed, 0, n, axis=0)
+        core = mixed if mixed.shape[0] == n else ad.narrow(mixed, 0, n)
         core = ad.dropout(core, cfg.dropout_p, train, rng)
     else:
-        core = u_mat if u_mat.shape[0] == n else ad.narrow(u_mat, 0, n, axis=0)
+        core = u_mat if u_mat.shape[0] == n else ad.narrow(u_mat, 0, n)
     return classify(core, params, cfg, train, rng)

@@ -15,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
+from .files import write_atomic
+
 # Token sequences are plain lists of non-empty, whitespace-free strings.
 TokenSequence = list
 
@@ -178,7 +180,7 @@ class Vocab:
         return out
 
     def save(self, path: "str | Path") -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(self.tokens) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: "str | Path") -> "Vocab":

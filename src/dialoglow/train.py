@@ -26,7 +26,8 @@ from . import metrics as mx
 from . import model as m
 from .corpus import CONSIDERED_LABELS, LABEL_INDEX, LABEL_ORDER, Dataset, split_train_validation, split_windows
 from .embeddings import EmbeddingTable
-from .preprocess import Vocab, prepare, vocab_content_sha256
+from .files import write_atomic
+from .preprocess import SPECIALS, Vocab, prepare, vocab_content_sha256
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -194,11 +195,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     buf += hbytes
     buf += payload
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # slices share the bytes, no copies
     if len(data) < 20:
         raise CheckpointError(f"{path}: too short to be a checkpoint")
     if data[:4] != CHECKPOINT_MAGIC:
@@ -215,7 +216,7 @@ def load_checkpoint(path) -> Checkpoint:
     header_end = 16 + hlen
     payload = data[header_end : len(data) - 4]
     try:
-        header = json.loads(data[16:header_end].decode("utf-8"))
+        header = json.loads(str(data[16:header_end], "utf-8"))
         tensors = {entry["name"]: _read_tensor(payload, entry) for entry in header["tensors"]}
         mc = dict(header["model_config"])
         # Older checkpoints record the output width; this build only scores len(LABEL_ORDER).
@@ -238,7 +239,7 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _read_tensor(payload: bytes, entry: dict) -> np.ndarray:
+def _read_tensor(payload: memoryview, entry: dict) -> np.ndarray:
     """One float64 tensor of the payload, bound-checked against its length."""
     shape, offset = tuple(entry["shape"]), entry["offset"]
     if not all(isinstance(v, int) and v >= 0 for v in (offset, *shape)):
@@ -255,31 +256,32 @@ def params_from_checkpoint(ckpt: Checkpoint):
     cfg = ckpt.model_config
     emb_meta = ckpt.metadata.get("embedding", {})
     trainable = bool(emb_meta.get("trainable", True))
-    expected = ["embedding", "lstm_fwd.w", "lstm_fwd.b", "lstm_bwd.w", "lstm_bwd.b"]
-    expected += [f"fc{i}.{part}" for i in range(len(cfg.fc_dims)) for part in ("w", "b")]
-    expected += ["out.w", "out.b"]
-    missing = [name for name in expected if name not in ckpt.tensors]
+    shapes = m.param_shapes(cfg)
+    missing = [name for name in ("embedding", *shapes) if name not in ckpt.tensors]
     if missing:
         raise CheckpointError(f"checkpoint is missing tensors: {', '.join(missing)}")
-
-    def t(name, grad=True):
-        return ad.Tensor(ckpt.tensors[name], requires_grad=grad)
-
+    # One embedding row per vocab token: the caller holding the vocab checks the
+    # exact count, and every vocab starts with the special tokens.
+    got = ckpt.tensors["embedding"].shape
+    if len(got) != 2 or got[0] < len(SPECIALS) or got[1] != cfg.embed_dim:
+        raise CheckpointError(
+            f"checkpoint tensor 'embedding' has shape {got}, the model config implies "
+            f"{cfg.embed_dim} columns and a vocab at least {len(SPECIALS)} rows"
+        )
+    for name, want in shapes.items():
+        if ckpt.tensors[name].shape != want:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {ckpt.tensors[name].shape}, "
+                f"the model config implies {want}"
+            )
     table = EmbeddingTable(
-        weights=t("embedding", grad=trainable),
+        weights=ad.Tensor(ckpt.tensors["embedding"], requires_grad=trainable),
         dim=cfg.embed_dim,
         oov_count=int(emb_meta.get("oov_count", 0)),
         trainable=trainable,
     )
-    params = m.ModelParams(
-        embedding=table,
-        lstm_fwd=m.LstmDirection(w=t("lstm_fwd.w"), b=t("lstm_fwd.b")),
-        lstm_bwd=m.LstmDirection(w=t("lstm_bwd.w"), b=t("lstm_bwd.b")),
-        fc=[(t(f"fc{i}.w"), t(f"fc{i}.b")) for i in range(len(cfg.fc_dims))],
-        out_w=t("out.w"),
-        out_b=t("out.b"),
-    )
-    return cfg, params
+    named = {name: ad.Tensor(ckpt.tensors[name], requires_grad=True) for name in shapes}
+    return cfg, m.ModelParams.from_named(cfg, table, named)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_criterion_2_attention_unit_suite():
     scores = m.attention_scores(u, 6).data
     assert np.array_equal(scores, scores.T)
 
-    weights = ad.masked_softmax(m.attention_scores(u, 6), np.ones(6, bool)).data
+    weights = ad.softmax(m.attention_scores(u, 6)).data
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
 
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=25, fc_dims=(8,),

@@ -68,11 +68,6 @@ def _case_matmul22(rng):
     return [a, b], lambda: ad.matmul(a, b)
 
 
-def _case_matmul21(rng):
-    a, b = rand(rng, 3, 4), rand(rng, 4)
-    return [a, b], lambda: ad.matmul(a, b)
-
-
 def _case_transpose(rng):
     a, b = rand(rng, 3, 2), rand(rng, 2, 3)
     return [a, b], lambda: ad.matmul(ad.transpose(a), ad.transpose(b))
@@ -81,16 +76,6 @@ def _case_transpose(rng):
 def _case_affine2(rng):
     x, w, b = rand(rng, 3, 4), rand(rng, 4, 2), rand(rng, 2)
     return [x, w, b], lambda: ad.affine(x, w, b)
-
-
-def _case_sigmoid(rng):
-    a = rand(rng, 4, 3)
-    return [a], lambda: ad.sigmoid(a)
-
-
-def _case_tanh(rng):
-    a = rand(rng, 6)
-    return [a], lambda: ad.tanh(a)
 
 
 def _case_relu(rng):
@@ -109,19 +94,9 @@ def _case_concat1(rng):
     return [a, b], lambda: ad.concat([a, b], axis=0)
 
 
-def _case_stack(rng):
-    rows = [rand(rng, 4) for _ in range(3)]
-    return rows, lambda: ad.stack_rows(rows)
-
-
-def _case_row(rng):
-    a = rand(rng, 4, 3)
-    return [a], lambda: ad.row(a, 2)
-
-
 def _case_narrow(rng):
     a = rand(rng, 6, 3)
-    return [a], lambda: ad.narrow(a, 1, 3, axis=0)
+    return [a], lambda: ad.narrow(a, 1, 3)
 
 
 def _case_pad_rows(rng):
@@ -134,21 +109,33 @@ def _case_gather(rng):
     return [a], lambda: ad.gather_rows(a, [1, 3, 1, 4])
 
 
+def _case_gather2d(rng):
+    a = rand(rng, 5, 3)
+    return [a], lambda: ad.gather_rows(a, [[1, 3], [1, 4], [0, 1]])
+
+
 def _case_max_over_time(rng):
-    a = spaced(rng, 5, 3)
-    return [a], lambda: ad.max_over_time(a, 4)
+    a = spaced(rng, 3, 4, 2)
+    return [a], lambda: ad.max_over_time(a, [4, 1, 2])
 
 
-def _case_masked_softmax1(rng):
-    a = rand(rng, 6)
-    mask = np.array([True, False, True, True, False, True])
-    return [a], lambda: ad.masked_softmax(a, mask)
+def _lstm_case(rng, reverse):
+    # Ragged rows: one fills every step, one has a single real step.
+    x, w, b = rand(rng, 3, 4, 2), rand(rng, 12, 5, lo=-1.0, hi=1.0), rand(rng, 12)
+    return [x, w, b], lambda: ad.lstm(x, [2, 4, 1], w, b, reverse=reverse)
 
 
-def _case_masked_softmax2(rng):
+def _case_lstm(rng):
+    return _lstm_case(rng, reverse=False)
+
+
+def _case_lstm_reverse(rng):
+    return _lstm_case(rng, reverse=True)
+
+
+def _case_softmax(rng):
     a = rand(rng, 3, 5)
-    mask = np.array([True, True, False, True, False])
-    return [a], lambda: ad.masked_softmax(a, mask)
+    return [a], lambda: ad.softmax(a)
 
 
 def _case_dropout_train(rng):
@@ -171,22 +158,19 @@ PRIMITIVE_CASES = [
     _case_mul,
     _case_scale,
     _case_matmul22,
-    _case_matmul21,
     _case_transpose,
     _case_affine2,
-    _case_sigmoid,
-    _case_tanh,
     _case_relu,
     _case_concat0,
     _case_concat1,
-    _case_stack,
-    _case_row,
     _case_narrow,
     _case_pad_rows,
     _case_gather,
+    _case_gather2d,
     _case_max_over_time,
-    _case_masked_softmax1,
-    _case_masked_softmax2,
+    _case_lstm,
+    _case_lstm_reverse,
+    _case_softmax,
     _case_dropout_train,
     _case_weighted_nll,
 ]
@@ -259,46 +243,32 @@ def test_constant_leaves_get_no_gradient():
 
 
 def test_max_over_time_routes_to_first_argmax():
-    h = ad.Tensor([[1.0, 5.0], [3.0, 2.0], [3.0, 7.0]], requires_grad=True)
+    h = ad.Tensor([[[1.0, 5.0], [3.0, 2.0], [3.0, 7.0]]], requires_grad=True)
     with ad.Tape() as tape:
-        u = ad.max_over_time(h, 2)
+        u = ad.max_over_time(h, [2])
         loss = ad.sum_all(u)
-    assert np.array_equal(u.data, [3.0, 5.0])
+    assert np.array_equal(u.data, [[3.0, 5.0]])
     grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[h], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(grads[h], [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
     # Tie inside the valid range: first occurrence wins.
-    h2 = ad.Tensor([[2.0], [2.0], [0.0]], requires_grad=True)
+    h2 = ad.Tensor([[[2.0], [2.0], [0.0]]], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.max_over_time(h2, 3))
+        loss = ad.sum_all(ad.max_over_time(h2, [3]))
     grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[h2], [[1.0], [0.0], [0.0]])
+    assert np.array_equal(grads[h2], [[[1.0], [0.0], [0.0]]])
 
 
 def test_max_over_time_rejects_empty_span():
-    h = ad.Tensor(np.zeros((3, 2)))
+    h = ad.Tensor(np.zeros((2, 3, 2)))
     with pytest.raises(ValueError):
-        ad.max_over_time(h, 0)
-
-
-def test_masked_softmax_known_values():
-    out = ad.masked_softmax(ad.Tensor([0.0, np.log(2.0)]), np.array([True, True]))
-    assert np.allclose(out.data, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-
-
-def test_masked_softmax_masks_exactly_and_sums_to_one():
-    rng = np.random.default_rng(7)
-    scores = ad.Tensor(rng.uniform(-4, 4, size=9))
-    mask = np.array([True, False, True, True, False, True, False, True, True])
-    out = ad.masked_softmax(scores, mask).data
-    assert np.all(out[~mask] == 0.0)
-    assert abs(out[mask].sum() - 1.0) < 1e-12
-    single = ad.masked_softmax(scores, np.eye(9, dtype=bool)[4]).data
-    assert single[4] == 1.0 and np.all(np.delete(single, 4) == 0.0)
-
-
-def test_masked_softmax_rejects_all_false_mask():
+        ad.max_over_time(h, [1, 0])
     with pytest.raises(ValueError):
-        ad.masked_softmax(ad.Tensor([1.0, 2.0]), np.array([False, False]))
+        ad.max_over_time(h, [1, 4])
+
+
+def test_softmax_known_values():
+    out = ad.softmax(ad.Tensor([[0.0, np.log(2.0)]]))
+    assert np.allclose(out.data, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,23 +276,12 @@ def test_masked_softmax_rejects_all_false_mask():
     seed=st.integers(0, 2**31 - 1),
     shift=st.floats(-30.0, 30.0, allow_nan=False),
 )
-def test_masked_softmax_shift_invariant(seed, shift):
+def test_softmax_shift_invariant(seed, shift):
     rng = np.random.default_rng(seed)
-    scores = rng.uniform(-5, 5, size=7)
-    mask = rng.random(7) < 0.6
-    if not mask.any():
-        mask[0] = True
-    base = ad.masked_softmax(ad.Tensor(scores), mask).data
-    moved = ad.masked_softmax(ad.Tensor(scores + shift), mask).data
+    scores = rng.uniform(-5, 5, size=(3, 7))
+    base = ad.softmax(ad.Tensor(scores)).data
+    moved = ad.softmax(ad.Tensor(scores + shift)).data
     assert np.allclose(base, moved, atol=1e-12)
-
-
-def test_masked_softmax_2d_applies_mask_per_row():
-    scores = ad.Tensor(np.arange(12, dtype=float).reshape(3, 4))
-    mask = np.array([True, True, False, True])
-    out = ad.masked_softmax(scores, mask).data
-    assert np.all(out[:, 2] == 0.0)
-    assert np.allclose(out[:, mask].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_dropout_eval_is_identity_and_train_scales():
@@ -359,21 +318,12 @@ def test_weighted_nll_all_zero_weights_is_constant_zero():
     assert len(tape) == 0
 
 
-def test_gradient_of_sigmoid_at_zero_matches_fd_tightly():
-    x = ad.Tensor(0.0, requires_grad=True)
-    with ad.Tape() as tape:
-        loss = ad.sigmoid(x)
-    grads = ad.backward(tape, loss)
-    assert abs(float(grads[x]) - 0.25) < 1e-12
-    fd = fd_grad(lambda: ad.sigmoid(x), x)
-    assert abs(float(grads[x]) - float(fd)) < 1e-8
-
-
 def test_grad_check_accepts_smooth_function():
     rng = np.random.default_rng(0)
     w = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    x = ad.Tensor(rng.normal(size=3))
-    f = lambda: ad.sum_all(ad.tanh(ad.matmul(w, x)))
+    x = ad.Tensor(rng.normal(size=(3, 2)))
+    r = ad.Tensor(rng.normal(size=(3, 2)))
+    f = lambda: ad.sum_all(ad.mul(ad.softmax(ad.matmul(w, x)), r))
     assert ad.grad_check(f, [w]) < 1e-6
 
 
@@ -406,7 +356,8 @@ def test_grad_check_flags_wrong_gradient():
 def test_grad_check_samples_large_tensors():
     rng = np.random.default_rng(1)
     w = ad.Tensor(rng.normal(size=(20, 20)), requires_grad=True)
-    f = lambda: ad.sum_all(ad.sigmoid(w))
+    r = ad.Tensor(rng.normal(size=(20, 20)))
+    f = lambda: ad.sum_all(ad.mul(ad.softmax(w), r))
     err = ad.grad_check(f, [w], max_coords_per_tensor=10, rng=ad.seeded_rng(3))
     assert err < 1e-6
     with pytest.raises(ValueError):
@@ -429,3 +380,10 @@ def test_gather_rows_keeps_frozen_row_out_of_gradient():
     grads = ad.backward(tape, loss)
     assert np.array_equal(grads[table][0], np.zeros(3))
     assert np.array_equal(grads[table][2], np.ones(3))
+    with ad.Tape() as tape:
+        picked = ad.gather_rows(table, [[0, 2], [2, 0]], stop_grad_rows=(0,))
+        loss = ad.sum_all(picked)
+    assert picked.shape == (2, 2, 3)
+    grads = ad.backward(tape, loss)
+    assert np.array_equal(grads[table][0], np.zeros(3))
+    assert np.array_equal(grads[table][2], np.full(3, 2.0))

@@ -76,17 +76,26 @@ def test_named_tensors_cover_all_parameters():
     assert "embedding" not in p2.trainable_tensors()
 
 
-def test_lstm_cell_step_with_zero_params_halves_cell_state():
-    l, d = 3, 5
-    p = m.LstmDirection(
-        w=ad.Tensor(np.zeros((4 * l, d + l))), b=ad.Tensor(np.zeros(4 * l))
-    )
-    x = ad.Tensor(np.ones(d))
-    h_prev = ad.Tensor(np.zeros(l))
-    c_prev = ad.Tensor([0.4, -1.0, 2.0])
-    h, c = m.lstm_cell_step(x, h_prev, c_prev, p)
-    assert np.array_equal(c.data, 0.5 * c_prev.data)
-    assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data), atol=1e-15)
+def test_lstm_with_zero_weights_runs_each_row_from_its_own_start():
+    # Zero weights make every gate a constant of its bias, in i, f, g, o order.
+    l, d = 2, 3
+    gate = {"i": 0.3, "f": -0.8, "g": 1.1, "o": 0.5}
+    w = ad.Tensor(np.zeros((4 * l, d + l)))
+    b = ad.Tensor(np.repeat(list(gate.values()), l))
+    sig = lambda v: 1.0 / (1.0 + math.exp(-v))
+    i, f, g, o = sig(gate["i"]), sig(gate["f"]), math.tanh(gate["g"]), sig(gate["o"])
+    c, want = 0.0, []
+    for _ in range(3):
+        c = f * c + i * g
+        want.append(o * math.tanh(c))
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(2, 3, d)))
+    fwd = ad.lstm(x, [3, 1], w, b).data
+    bwd = ad.lstm(x, [3, 1], w, b, reverse=True).data
+    assert np.allclose(fwd[0], np.array(want)[:, None], atol=1e-15)
+    assert np.allclose(bwd[0], np.array(want[::-1])[:, None], atol=1e-15)
+    for out in (fwd, bwd):
+        assert np.allclose(out[1, 0], want[0], atol=1e-15)
+        assert np.array_equal(out[1, 1:], np.zeros((2, l)))  # padding stays exactly zero
 
 
 def test_lstm_three_chained_steps_gradient_matches_fd():
@@ -96,29 +105,41 @@ def test_lstm_three_chained_steps_gradient_matches_fd():
         w=ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
         b=ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True),
     )
-    xs = [ad.Tensor(rng.uniform(-1, 1, d)) for _ in range(3)]
-    r = ad.Tensor(rng.uniform(-1, 1, l))
+    x = ad.Tensor(rng.uniform(-1, 1, (1, 3, d)))
+    r = ad.Tensor(rng.uniform(-1, 1, (1, 3, l)))
 
     def f():
-        h, c = ad.Tensor(np.zeros(l)), ad.Tensor(np.zeros(l))
-        for x in xs:
-            h, c = m.lstm_cell_step(x, h, c, p)
-        return ad.sum_all(ad.mul(h, r))
+        return ad.sum_all(ad.mul(ad.lstm(x, [3], p.w, p.b), r))
 
     assert ad.grad_check(f, [p.w, p.b]) < 1e-5
 
 
 def test_encode_sentence_ignores_trailing_padding_ids():
+    # The middle row is padded up to its longest neighbour; only the
+    # neighbours' lengths change between these windows.
     cfg, vocab, params = tiny_setup()
     ids = vocab.encode(["aa", "bb", "cc"])
-    u = m.encode_sentence(ids, 3, params, cfg)
-    u_padded = m.encode_sentence(ids + [pp.PAD_ID, pp.PAD_ID], 3, params, cfg)
-    assert u.shape == (cfg.sentence_dim,)
-    assert np.array_equal(u.data, u_padded.data)
-    with pytest.raises(ValueError):
-        m.encode_sentence(ids, 0, params, cfg)
-    with pytest.raises(ValueError):
-        m.encode_sentence(ids, 4, params, cfg)
+    neighbours = [(["dd"], ["ee"]), (["dd"] * 9, ["ee", "aa"]), (["dd", "ee"], ["ee"] * 3)]
+    rows = [
+        m.encode_sentence([vocab.encode(a), ids, vocab.encode(b)], params, cfg).data[1]
+        for a, b in neighbours
+    ]
+    assert rows[0].shape == (cfg.sentence_dim,)
+    assert all(np.array_equal(r, rows[0]) for r in rows)
+    # A one-row batch may take BLAS's matrix-vector path, so compare to a tolerance.
+    alone = m.encode_sentence([ids], params, cfg).data[0]
+    assert np.max(np.abs(alone - rows[0])) <= 1e-12
+
+
+def test_forward_window_tape_length_does_not_grow_with_tokens():
+    cfg, vocab, params = tiny_setup()
+    lengths = []
+    for sizes in ((1, 1, 1), (5, 9, 2), (30, 40, 35)):
+        ids = [vocab.encode(["aa"] * k) for k in sizes]
+        with ad.Tape() as tape:
+            ad.weighted_nll(m.forward_window(ids, params, cfg), [0, 1, 2], [1.0, 1.0, 1.0])
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1] == lengths[2]
 
 
 def test_attention_scores_all_ones_width_four_gives_two():
@@ -173,24 +194,12 @@ def test_self_attend_pads_come_back_as_exact_zeros():
     assert np.array_equal(out.data[:3], m.self_attend(ad.Tensor(core), 3).data)
 
 
-def test_attention_weights_row_stochastic_and_zero_beyond_n():
-    rng = np.random.default_rng(3)
-    n, total = 4, 9
-    u = np.zeros((total, 6))
-    u[:n] = rng.normal(size=(n, 6))
-    scores = m.attention_scores(ad.Tensor(u), n)
-    mask = np.arange(total) < n
-    weights = ad.masked_softmax(scores, mask).data
-    assert np.array_equal(weights[:, ~mask], np.zeros((total, total - n)))
-    assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12))
 def test_attention_weights_row_stochastic_property(seed, n):
     rng = np.random.default_rng(seed)
     u = ad.Tensor(rng.uniform(-3, 3, size=(n, 4)))
-    w = ad.masked_softmax(m.attention_scores(u, n), np.ones(n, bool)).data
+    w = ad.softmax(m.attention_scores(u, n)).data
     assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -255,6 +256,13 @@ def test_checkpoint_rebuilds_identical_forward_pass(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_loaded_tensors_own_writable_memory(tmp_path):
+    # The tensors are copies, not read-only views of the file's bytes.
+    _, path, *_ = saved_checkpoint(tmp_path)
+    for name, arr in tr.load_checkpoint(path).tensors.items():
+        assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.float64, name
+
+
 def test_truncated_checkpoint_fails_the_checksum(tmp_path):
     _, path, *_ = saved_checkpoint(tmp_path)
     blob = path.read_bytes()
@@ -340,6 +348,42 @@ def test_checksum_valid_malformed_checkpoint_fails_as_input_error(tmp_path, caps
     data.write_text(json.dumps(serialize_dataset(synthetic.build(n_dialogues=2))), encoding="utf-8")
     assert cli.main(["eval", str(path), str(data)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize(
+    "name, shape",
+    [("out.w", (7, 8)), ("lstm_fwd.w", (16, 13)), ("embedding", (3, 8)), ("embedding", (9, 8))],
+    ids=["out.w", "lstm_fwd.w", "embedding-under-specials", "embedding-not-vocab-size"],
+)
+def test_checkpoint_tensor_shapes_must_fit_the_config(tmp_path, capsys, command, name, shape):
+    ckpt, path, vocab, *_ = saved_checkpoint(tmp_path)
+    ckpt.tensors[name] = np.zeros(shape)
+    tr.save_checkpoint(ckpt, path)
+    vocab.save(tmp_path / "vocab.txt")
+    data = tmp_path / "dialogues.json"
+    data.write_text(json.dumps(serialize_dataset(synthetic.build(n_dialogues=2))), encoding="utf-8")
+    assert cli.main([command, str(path), str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(name) in err
+
+
+def test_interrupted_writes_keep_the_previous_files(tmp_path, monkeypatch):
+    ckpt, path, vocab, *_ = saved_checkpoint(tmp_path)
+    vocab_path = tmp_path / "vocab.txt"
+    vocab.save(vocab_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    ckpt.tensors["out.b"] = ckpt.tensors["out.b"] + 1.0
+    with pytest.raises(OSError):
+        tr.save_checkpoint(ckpt, path)
+    with pytest.raises(OSError):
+        pp.Vocab(vocab.tokens[:-1]).save(vocab_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- the loop ---------------------------------------------------------------
