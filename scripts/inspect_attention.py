@@ -20,7 +20,7 @@ from dialoglow import train as tr
 
 def attention_matrix(texts, vocab, params, cfg):
     u = m.encode_sentence([vocab.encode(pp.prepare(t)) for t in texts], params, cfg)
-    return ad.softmax(m.attention_scores(u, u.shape[0])).data
+    return ad.softmax(m.attention_scores(u)).data
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
         ds = synthetic.build(n_dialogues=20, seed=args.seed)
         vocab = tr.vocab_from_dataset(ds)
         cfg = m.ModelConfig(embed_dim=16, hidden_size=8, window_size=8,
-                            fc_dims=(16,), dropout_p=0.0, variant="sa-bilstm")
+                            fc_dims=(16,), variant="sa-bilstm")
         table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed + 1)
         tcfg = tr.TrainConfig(epochs=40, lr0=0.02, decay=0.995, dropout=0.0,
                               seed=args.seed, val_fraction=0.0)

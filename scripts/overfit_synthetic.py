@@ -34,7 +34,6 @@ def main():
         hidden_size=args.hidden_size,
         window_size=8,
         fc_dims=(16,),
-        dropout_p=0.0,
         variant=args.variant,
     )
     table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed + 1)

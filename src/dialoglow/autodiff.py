@@ -182,36 +182,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=axis), parts, rule)
 
 
-def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """Rows ``start`` to ``start + length`` of a matrix."""
-    _require_shape("narrow", a.shape, 2)
-    if start < 0 or length < 1 or start + length > a.shape[0]:
-        raise ValueError(
-            f"narrow: rows [{start}:{start + length}] out of range for shape {a.shape}"
-        )
-    shape = a.shape
-
-    def rule(g):
-        out = np.zeros(shape)
-        out[start : start + length] = g
-        return (out,)
-
-    return _out(a.data[start : start + length].copy(), (a,), rule)
-
-
-def pad_rows(a: Tensor, total_rows: int) -> Tensor:
-    """Append all-zero rows below a matrix until it has ``total_rows`` rows."""
-    _require_shape("pad_rows", a.shape, 2)
-    n, k = a.shape
-    if total_rows < n:
-        raise ValueError(f"pad_rows: target {total_rows} smaller than {a.shape}")
-    if total_rows == n:
-        return _out(a.data.copy(), (a,), lambda g: (g,))
-    padded = np.zeros((total_rows, k))
-    padded[:n] = a.data
-    return _out(padded, (a,), lambda g: (g[:n],))
-
-
 def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
     """Select rows of a matrix by an index array of any rank; gradient scatter-adds back.
 
@@ -346,18 +316,16 @@ def softmax(scores: Tensor) -> Tensor:
     return _out(p, (scores,), lambda g: (p * (g - np.sum(g * p, axis=1, keepdims=True)),))
 
 
-def dropout(x: Tensor, p: float, train: bool, rng: "np.random.Generator | None" = None) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Outside training this is the identity, so evaluation is deterministic
-    and consumes no randomness.
+    The mask is drawn from ``rng``; a rate of 0 is the identity and draws
+    nothing.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return _out(x.data.copy(), (x,), lambda g: (g,))
-    if rng is None:
-        raise ValueError("dropout: training mode needs an rng")
+    if p == 0.0:
+        return x
     keep = rng.random(x.shape) >= p
     factor = keep / (1.0 - p)
     return _out(x.data * factor, (x,), lambda g: (g * factor,))
@@ -445,8 +413,8 @@ def grad_check(
 ) -> float:
     """Compare taped gradients of ``f()`` against central finite differences.
 
-    ``f`` must close over ``params`` and be deterministic (dropout in
-    training mode is rejected). Large tensors can be spot-checked by
+    ``f`` must close over ``params`` and be deterministic (a dropout mask
+    drawn afresh per call is rejected). Large tensors can be spot-checked by
     sampling ``max_coords_per_tensor`` coordinates. Returns the worst
     relative error, guarded at GRAD_CHECK_FLOOR.
     """

@@ -23,7 +23,9 @@ from . import metrics as mx
 from . import model as m
 from . import preprocess as pp
 from . import train as tr
-from .corpus import CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation
+from .corpus import (
+    CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation, split_windows,
+)
 from .files import write_atomic
 
 EXIT_OK = 0
@@ -362,7 +364,7 @@ def cmd_predict(args) -> int:
     windows = []
     for dlg in doc:
         ids = [vocab.encode(pp.prepare(u["utterance"])) for u in dlg]
-        windows += [ids[i : i + cfg.window_size] for i in range(0, len(ids), cfg.window_size)]
+        windows += split_windows(ids, cfg.window_size)
     labels = iter(mx.predict(tr.infer(windows, params, cfg)))
     annotated = [
         [{**u, "predicted_emotion": str(LABEL_ORDER[next(labels)])} for u in dlg] for dlg in doc
@@ -392,8 +394,7 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     started = time.monotonic()
     cfg = m.ModelConfig(
-        embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,), dropout_p=0.0,
-        variant="sa-bilstm",
+        embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,), variant="sa-bilstm"
     )
     vocab = pp.build_vocab([["red", "green", "blue", "amber", "plum"]])
     table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed)

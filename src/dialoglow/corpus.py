@@ -10,7 +10,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class Dialogue:
     def __post_init__(self):
         if not self.utterances:
             raise CorpusError(f"dialogue {self.id!r} has no utterances")
-
-    def __len__(self) -> int:
-        return len(self.utterances)
-
-
-@dataclass
-class DialogueWindow:
-    """A contiguous chunk of one dialogue, at most window_size utterances long."""
-
-    source_dialogue_id: str
-    start_index: int
-    utterances: list[Utterance]
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -195,22 +183,15 @@ def serialize_dataset(ds: Dataset) -> list[list[dict[str, str]]]:
     ]
 
 
-def split_windows(dialogue: Dialogue, window_size: int) -> list[DialogueWindow]:
-    """Chop a dialogue into greedy contiguous windows of at most window_size.
+def split_windows(items: Sequence, window_size: int) -> list[list]:
+    """Chop a sequence into greedy contiguous windows of at most window_size.
 
-    Every utterance lands in exactly one window and order is preserved, so
-    a 60-utterance dialogue with window_size 25 gives windows of 25, 25 and 10.
+    Every item lands in exactly one window and order is preserved, so a
+    60-utterance dialogue with window_size 25 gives windows of 25, 25 and 10.
     """
     if window_size < 1:
         raise ValueError(f"split_windows: window_size must be positive, got {window_size}")
-    return [
-        DialogueWindow(
-            source_dialogue_id=dialogue.id,
-            start_index=start,
-            utterances=dialogue.utterances[start : start + window_size],
-        )
-        for start in range(0, len(dialogue), window_size)
-    ]
+    return [list(items[start : start + window_size]) for start in range(0, len(items), window_size)]
 
 
 def corpus_stats(ds: Dataset, tokenizer: Callable[[str], Iterable[str]]) -> CorpusStats:

@@ -25,6 +25,9 @@ from .preprocess import PAD_ID
 
 VARIANTS = ("bilstm", "sa-bilstm")
 
+# Training-time dropout: the rate and the generator that draws the masks.
+Dropout = tuple[float, np.random.Generator]
+
 
 @dataclass
 class ModelConfig:
@@ -32,7 +35,6 @@ class ModelConfig:
     hidden_size: int = 256  # per direction
     window_size: int = 25  # max utterances attended to jointly
     fc_dims: tuple[int, ...] = (128, 128)
-    dropout_p: float = 0.3
     variant: str = "sa-bilstm"
 
     def __post_init__(self):
@@ -41,8 +43,6 @@ class ModelConfig:
             raise ValueError(f"model dimensions must be positive: {self}")
         if any(d < 1 for d in self.fc_dims):
             raise ValueError(f"fc_dims must be positive: {self.fc_dims}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -156,51 +156,31 @@ def encode_sentence(
     return ad.max_over_time(ad.concat([fwd, bwd], axis=2), lengths)
 
 
-def attention_scores(u_mat: Tensor, n: int) -> Tensor:
-    """Pairwise dot products of sentence vectors, scaled by 1/sqrt(width).
-
-    Entries touching rows or columns at and beyond ``n`` belong to padding;
-    self_attend narrows them away before the softmax.
-    """
+def attention_scores(u_mat: Tensor) -> Tensor:
+    """Pairwise dot products of sentence vectors, scaled by 1/sqrt(width)."""
     if u_mat.ndim != 2:
         raise ValueError(f"attention_scores: need a matrix, got shape {u_mat.shape}")
-    if not 1 <= n <= u_mat.shape[0]:
-        raise ValueError(f"attention_scores: n {n} out of range for {u_mat.shape}")
     return ad.scale(
         ad.matmul(u_mat, ad.transpose(u_mat)), 1.0 / math.sqrt(u_mat.shape[1])
     )
 
 
-def self_attend(u_mat: Tensor, n: int) -> Tensor:
-    """Replace each of the first n rows with its attention-weighted mixture.
+def self_attend(u_mat: Tensor) -> Tensor:
+    """Replace each row with its attention-weighted mixture of all the rows.
 
-    Row i becomes sum_j softmax(scores_i)[j] * row_j over the real rows
-    only; padded rows come back as exact zeros. Arithmetic never touches
-    the padding, so results do not depend on how far the input was padded.
+    Row i becomes sum_j softmax(scores_i)[j] * row_j.
     """
-    if u_mat.ndim != 2:
-        raise ValueError(f"self_attend: need a matrix, got shape {u_mat.shape}")
-    total = u_mat.shape[0]
-    if not 1 <= n <= total:
-        raise ValueError(f"self_attend: n {n} out of range for {u_mat.shape}")
-    core = u_mat if n == total else ad.narrow(u_mat, 0, n)
-    weights = ad.softmax(attention_scores(core, n))
-    mixed = ad.matmul(weights, core)
-    return mixed if n == total else ad.pad_rows(mixed, total)
+    return ad.matmul(ad.softmax(attention_scores(u_mat)), u_mat)
 
 
-def classify(
-    x: Tensor,
-    params: ModelParams,
-    cfg: ModelConfig,
-    train: bool = False,
-    rng: "np.random.Generator | None" = None,
-) -> Tensor:
+def classify(x: Tensor, params: ModelParams, dropout: "Dropout | None" = None) -> Tensor:
     """Shared per-row scorer: hidden affine+relu(+dropout) stack, raw logits out."""
     if x.ndim != 2:
         raise ValueError(f"classify: need a matrix of row vectors, got {x.shape}")
     for w, b in params.fc:
-        x = ad.dropout(ad.relu(ad.affine(x, w, b)), cfg.dropout_p, train, rng)
+        x = ad.relu(ad.affine(x, w, b))
+        if dropout is not None:
+            x = ad.dropout(x, *dropout)
     return ad.affine(x, params.out_w, params.out_b)
 
 
@@ -208,26 +188,21 @@ def forward_window(
     token_ids: Sequence[Sequence[int]],
     params: ModelParams,
     cfg: ModelConfig,
-    train: bool = False,
-    rng: "np.random.Generator | None" = None,
-    n_pad: "int | None" = None,
+    dropout: "Dropout | None" = None,
 ) -> Tensor:
-    """Logits for the real utterances of one window, shape (n, len(LABEL_ORDER))."""
+    """Logits for the utterances of one window, shape (n, len(LABEL_ORDER)).
+
+    ``dropout`` is the training rate and the generator that draws its
+    masks; None, the default, means inference.
+    """
     n = len(token_ids)
     if not 1 <= n <= cfg.window_size:
         raise ValueError(f"window holds {n} utterances, limit is {cfg.window_size}")
     if any(len(ids) == 0 for ids in token_ids):
         raise ValueError("every utterance needs at least one token id")
     u_mat = encode_sentence(token_ids, params, cfg)
-    if n_pad is not None:
-        if n_pad < n:
-            raise ValueError(f"n_pad {n_pad} smaller than window size {n}")
-        if n_pad > n:
-            u_mat = ad.pad_rows(u_mat, n_pad)
     if cfg.variant == "sa-bilstm":
-        mixed = self_attend(u_mat, n)
-        core = mixed if mixed.shape[0] == n else ad.narrow(mixed, 0, n)
-        core = ad.dropout(core, cfg.dropout_p, train, rng)
-    else:
-        core = u_mat if u_mat.shape[0] == n else ad.narrow(u_mat, 0, n)
-    return classify(core, params, cfg, train, rng)
+        u_mat = self_attend(u_mat)
+        if dropout is not None:
+            u_mat = ad.dropout(u_mat, *dropout)
+    return classify(u_mat, params, dropout)

@@ -159,7 +159,7 @@ class Vocab:
             raise ValueError(f"vocab must start with the special tokens {SPECIALS}")
         self.index: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
-            if not tok or tok != tok.strip() or any(c.isspace() for c in tok):
+            if tok.split() != [tok]:
                 raise ValueError(f"bad vocab token at id {i}: {tok!r}")
             if tok in self.index:
                 raise ValueError(f"duplicate vocab token: {tok!r}")

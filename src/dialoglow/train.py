@@ -221,6 +221,8 @@ def load_checkpoint(path) -> Checkpoint:
         mc = dict(header["model_config"])
         # Older checkpoints record the output width; this build only scores len(LABEL_ORDER).
         num_labels = mc.pop("num_labels", len(LABEL_ORDER))
+        # Older checkpoints also record the training dropout rate, which inference never uses.
+        mc.pop("dropout_p", None)
         mc["fc_dims"] = tuple(mc["fc_dims"])
         ckpt = Checkpoint(
             model_config=m.ModelConfig(**mc),
@@ -295,18 +297,18 @@ def vocab_from_dataset(ds: Dataset, min_count: int = 1) -> Vocab:
     return build_vocab(corpus, min_count=min_count)
 
 
-def _encode_window(window, vocab: Vocab):
-    ids = [vocab.encode(prepare(u.raw_text)) for u in window.utterances]
-    golds = [LABEL_INDEX[u.gold] for u in window.utterances]
+def _encode_window(utterances, vocab: Vocab):
+    ids = [vocab.encode(prepare(u.raw_text)) for u in utterances]
+    golds = [LABEL_INDEX[u.gold] for u in utterances]
     return ids, golds
 
 
 def encode_dataset(ds: Dataset, vocab: Vocab, window_size: int):
     """Per-dialogue window encodings: [[(ids_list, gold_list), ...], ...]."""
-    out = []
-    for d in ds.dialogues:
-        out.append([_encode_window(w, vocab) for w in split_windows(d, window_size)])
-    return out
+    return [
+        [_encode_window(w, vocab) for w in split_windows(d.utterances, window_size)]
+        for d in ds.dialogues
+    ]
 
 
 def infer(windows, params, cfg) -> np.ndarray:
@@ -337,15 +339,13 @@ class TrainResult:
     history: list
 
 
-def _optimize_step(windows, params, cfg, trainable, state, lr, cw, rng, grad_clip):
+def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad_clip):
     """Forward/backward/update over one step's windows. None if nothing weighted."""
     golds = [g for _, gs in windows for g in gs]
     if float(np.sum(cw[golds])) == 0.0:
         return None
     with ad.Tape() as tape:
-        parts = [
-            m.forward_window(ids, params, cfg, train=True, rng=rng) for ids, _ in windows
-        ]
+        parts = [m.forward_window(ids, params, cfg, dropout) for ids, _ in windows]
         logits = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
@@ -371,7 +371,6 @@ def train(
     val_fraction 0 the (unshuffled) training set doubles as the scoring
     set, which is exactly what an overfitting check wants.
     """
-    cfg = dataclasses.replace(mcfg, dropout_p=tcfg.dropout)
     if val_ds is None:
         train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
         if not val_ds.dialogues:
@@ -381,59 +380,44 @@ def train(
     if not train_ds.dialogues:
         raise ValueError("validation split consumed every training dialogue")
 
-    params = m.ModelParams.init(cfg, table, seed=tcfg.seed)
+    params = m.ModelParams.init(mcfg, table, seed=tcfg.seed)
     trainable = params.trainable_tensors()
     state = AdamState(trainable)
     cw = np.asarray(tcfg.class_weights, dtype=np.float64)
     vocab_hash = vocab_content_sha256(vocab)
 
-    by_dialogue = encode_dataset(train_ds, vocab, cfg.window_size)
-    val_windows, val_golds = _scoring_windows(val_ds, vocab, cfg.window_size)
-    flat = [
-        ([ids], [g])
-        for dlg in by_dialogue
-        for ids_list, gs in dlg
-        for ids, g in zip(ids_list, gs)
-    ]
+    by_dialogue = encode_dataset(train_ds, vocab, mcfg.window_size)
+    val_windows, val_golds = _scoring_windows(val_ds, vocab, mcfg.window_size)
+    flat = [pair for dlg in by_dialogue for ids_list, gs in dlg for pair in zip(ids_list, gs)]
 
     shuffle_rng = ad.seeded_rng(tcfg.seed, stream=1)
-    dropout_rng = ad.seeded_rng(tcfg.seed, stream=2)
-    epochs = tcfg.epochs_for(cfg.variant)
+    dropout = (tcfg.dropout, ad.seeded_rng(tcfg.seed, stream=2))
+    epochs = tcfg.epochs_for(mcfg.variant)
 
     history = []
     best = None  # (uwa, epoch, tensor snapshot, history length)
     for epoch in range(epochs):
         lr = learning_rate(tcfg.lr0, tcfg.decay, epoch)
-        losses = []
-        if cfg.variant == "sa-bilstm":
+        if mcfg.variant == "sa-bilstm":
             # One dialogue per step: all its windows share a single loss.
-            for di in shuffle_rng.permutation(len(by_dialogue)):
-                loss = _optimize_step(
-                    by_dialogue[di], params, cfg, trainable, state, lr, cw,
-                    dropout_rng, tcfg.grad_clip,
-                )
-                if loss is not None:
-                    losses.append(loss)
+            steps = [by_dialogue[di] for di in shuffle_rng.permutation(len(by_dialogue))]
         else:
             # Flat utterance batches; rows are independent for this variant,
-            # so a batch is forwarded as window-sized chunks and concatenated.
-            order = shuffle_rng.permutation(len(flat))
-            for lo in range(0, len(order), tcfg.batch_size):
-                batch = [flat[i] for i in order[lo : lo + tcfg.batch_size]]
-                chunks = []
-                for start in range(0, len(batch), cfg.window_size):
-                    group = batch[start : start + cfg.window_size]
-                    chunks.append(
-                        ([ids for (ids,), _ in group], [g for _, (g,) in group])
-                    )
-                loss = _optimize_step(
-                    chunks, params, cfg, trainable, state, lr, cw,
-                    dropout_rng, tcfg.grad_clip,
-                )
-                if loss is not None:
-                    losses.append(loss)
+            # so a batch is forwarded as window-sized (ids, golds) chunks.
+            shuffled = [flat[i] for i in shuffle_rng.permutation(len(flat))]
+            steps = [
+                [tuple(zip(*chunk)) for chunk in split_windows(batch, mcfg.window_size)]
+                for batch in split_windows(shuffled, tcfg.batch_size)
+            ]
+        losses = []
+        for windows in steps:
+            loss = _optimize_step(
+                windows, params, mcfg, trainable, state, lr, cw, dropout, tcfg.grad_clip
+            )
+            if loss is not None:
+                losses.append(loss)
 
-        cm = mx.confusion(mx.predict(infer(val_windows, params, cfg)), val_golds)
+        cm = mx.confusion(mx.predict(infer(val_windows, params, mcfg)), val_golds)
         val_wa, val_uwa = (mx.wa(cm), mx.uwa(cm)) if cm.total else (None, None)
         row = {
             "epoch": epoch,
@@ -451,7 +435,7 @@ def train(
 
     def checkpoint(tensors, epoch, rows):
         return Checkpoint(
-            model_config=cfg,
+            model_config=mcfg,
             tensors=tensors,
             vocab_sha256=vocab_hash,
             metadata={

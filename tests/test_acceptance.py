@@ -23,6 +23,7 @@ from dialoglow import synthetic
 from dialoglow import train as tr
 from dialoglow.corpus import load_dataset, serialize_dataset, Split, corpus_stats
 
+from test_model import forward_padded
 from test_preprocess import CLEAN_GOLDENS, COLLAPSE_GOLDENS, PREPARE_GOLDENS, TOKENIZE_GOLDENS
 
 
@@ -43,26 +44,26 @@ def test_criterion_2_attention_unit_suite():
     rng = np.random.default_rng(0)
 
     one = ad.Tensor(rng.normal(size=(1, 6)))
-    assert np.array_equal(m.self_attend(one, 1).data, one.data)
+    assert np.array_equal(m.self_attend(one).data, one.data)
 
     same = ad.Tensor(np.tile(rng.normal(size=4), (5, 1)))
-    assert np.allclose(m.self_attend(same, 5).data, same.data, atol=1e-12)
+    assert np.allclose(m.self_attend(same).data, same.data, atol=1e-12)
 
     u = ad.Tensor(rng.normal(size=(6, 8)))
-    scores = m.attention_scores(u, 6).data
+    scores = m.attention_scores(u).data
     assert np.array_equal(scores, scores.T)
 
-    weights = ad.softmax(m.attention_scores(u, 6)).data
+    weights = ad.softmax(m.attention_scores(u)).data
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
 
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=25, fc_dims=(8,),
-                        dropout_p=0.0, variant="sa-bilstm")
+                        variant="sa-bilstm")
     vocab = pp.build_vocab([["aa", "bb", "cc"]])
     params = m.ModelParams.init(cfg, emb.random_table(vocab, 8, seed=1), seed=2)
     ids = [vocab.encode(t.split()) for t in ("aa bb", "cc", "bb cc aa")]
-    plain = m.forward_window(ids, params, cfg, n_pad=3).data
-    padded = m.forward_window(ids, params, cfg, n_pad=25).data
-    assert np.array_equal(plain, padded)
+    plain = m.forward_window(ids, params, cfg).data
+    assert np.array_equal(plain, forward_padded(ids, params, 3).data)
+    assert np.array_equal(plain, forward_padded(ids, params, 25).data)
 
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"attention suite took {elapsed:.2f}s"
@@ -75,7 +76,7 @@ def test_criterion_3_loss_weighting():
     # every gold outside the considered set: constant-zero loss, no
     # differentiable path, hence exactly zero gradient for every parameter
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=4, fc_dims=(8,),
-                        dropout_p=0.0, variant="sa-bilstm")
+                        variant="sa-bilstm")
     vocab = pp.build_vocab([["aa", "bb"]])
     params = m.ModelParams.init(cfg, emb.random_table(vocab, 8, seed=3), seed=4)
     with ad.Tape() as tape:
@@ -114,7 +115,7 @@ def test_criterion_5_synthetic_overfit():
     ds = synthetic.build(n_dialogues=20, seed=0)
     vocab = tr.vocab_from_dataset(ds)
     cfg = m.ModelConfig(embed_dim=16, hidden_size=8, window_size=8, fc_dims=(16,),
-                        dropout_p=0.0, variant="sa-bilstm")
+                        variant="sa-bilstm")
     table = emb.random_table(vocab, cfg.embed_dim, seed=1)
     tcfg = tr.TrainConfig(epochs=60, lr0=0.02, decay=0.995, dropout=0.0,
                           seed=0, val_fraction=0.0)

@@ -115,25 +115,25 @@ def make_dialogue(n, id="d0"):
 
 
 def test_sixty_utterances_window_into_25_25_10():
-    windows = corpus.split_windows(make_dialogue(60), window_size=25)
+    d = make_dialogue(60)
+    windows = corpus.split_windows(d.utterances, window_size=25)
     assert [len(w) for w in windows] == [25, 25, 10]
-    assert [w.start_index for w in windows] == [0, 25, 50]
-    assert all(w.source_dialogue_id == "d0" for w in windows)
-    flat = [u for w in windows for u in w.utterances]
+    assert all(type(w) is list for w in windows)
+    flat = [u for w in windows for u in w]
     assert [u.raw_text for u in flat] == [f"utt {i}" for i in range(60)]
+    assert corpus.split_windows(tuple(range(5)), 2) == [[0, 1], [2, 3], [4]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 120), window_size=st.integers(1, 30))
 def test_windows_partition_dialogue_in_order(n, window_size):
     d = make_dialogue(n)
-    windows = corpus.split_windows(d, window_size)
+    windows = corpus.split_windows(d.utterances, window_size)
     assert all(1 <= len(w) <= window_size for w in windows)
     assert sum(len(w) for w in windows) == n
     pos = 0
     for w in windows:
-        assert w.start_index == pos
-        assert w.utterances == d.utterances[pos : pos + len(w)]
+        assert w == d.utterances[pos : pos + len(w)]
         pos += len(w)
 
 

@@ -18,7 +18,6 @@ def tiny_cfg(**over):
         hidden_size=3,
         window_size=4,
         fc_dims=(4,),
-        dropout_p=0.0,
         variant="sa-bilstm",
     )
     base.update(over)
@@ -39,7 +38,7 @@ def test_config_sentence_dim_tracks_hidden_size():
     with pytest.raises(ValueError):
         tiny_cfg(variant="transformer")
     with pytest.raises(ValueError):
-        tiny_cfg(dropout_p=1.0)
+        tiny_cfg(fc_dims=(4, 0))
 
 
 def test_init_forget_bias_one_and_xavier_bounds():
@@ -144,39 +143,39 @@ def test_forward_window_tape_length_does_not_grow_with_tokens():
 
 def test_attention_scores_all_ones_width_four_gives_two():
     u = ad.Tensor(np.ones((2, 4)))
-    f = m.attention_scores(u, 2)
+    f = m.attention_scores(u)
     assert np.array_equal(f.data, np.full((2, 2), 2.0))
 
 
 def test_attention_scores_symmetric_and_quadratic_in_scale():
     rng = np.random.default_rng(5)
     u = ad.Tensor(rng.normal(size=(6, 8)))
-    f = m.attention_scores(u, 6).data
+    f = m.attention_scores(u).data
     assert np.array_equal(f, f.T)
-    f2 = m.attention_scores(ad.scale(u, 2.0), 6).data
+    f2 = m.attention_scores(ad.scale(u, 2.0)).data
     assert np.allclose(f2, 4.0 * f, atol=1e-12)
 
 
 def test_self_attend_single_utterance_is_identity():
     rng = np.random.default_rng(1)
     u = ad.Tensor(rng.normal(size=(1, 6)))
-    out = m.self_attend(u, 1)
+    out = m.self_attend(u)
     assert np.array_equal(out.data, u.data)
 
 
 def test_self_attend_identical_rows_are_fixed_point():
     row = np.array([0.3, -1.2, 0.7, 2.0])
     u = ad.Tensor(np.tile(row, (5, 1)))
-    out = m.self_attend(u, 5)
+    out = m.self_attend(u)
     assert np.allclose(out.data, u.data, atol=1e-12)
 
 
 def test_self_attend_hand_derived_two_by_two():
     u = ad.Tensor([[2.0, 0.0], [0.0, 1.0]])
-    f = m.attention_scores(u, 2)
+    f = m.attention_scores(u)
     root2 = math.sqrt(2.0)
     assert np.allclose(f.data, np.array([[4.0, 0.0], [0.0, 1.0]]) / root2, atol=1e-15)
-    out = m.self_attend(u, 2).data
+    out = m.self_attend(u).data
     alpha = math.exp(4.0 / root2) / (math.exp(4.0 / root2) + 1.0)
     assert np.allclose(out[0], [2.0 * alpha, 1.0 - alpha], atol=1e-12)
     assert np.allclose(out[0], [1.8886, 0.0557], atol=1e-3)
@@ -184,22 +183,12 @@ def test_self_attend_hand_derived_two_by_two():
     assert np.allclose(out[1], [2.0 * (1.0 - beta), beta], atol=1e-12)
 
 
-def test_self_attend_pads_come_back_as_exact_zeros():
-    rng = np.random.default_rng(2)
-    core = rng.normal(size=(3, 4))
-    padded = np.zeros((7, 4))
-    padded[:3] = core
-    out = m.self_attend(ad.Tensor(padded), 3)
-    assert np.array_equal(out.data[3:], np.zeros((4, 4)))
-    assert np.array_equal(out.data[:3], m.self_attend(ad.Tensor(core), 3).data)
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12))
 def test_attention_weights_row_stochastic_property(seed, n):
     rng = np.random.default_rng(seed)
     u = ad.Tensor(rng.uniform(-3, 3, size=(n, 4)))
-    w = ad.softmax(m.attention_scores(u, n)).data
+    w = ad.softmax(m.attention_scores(u)).data
     assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
 
 
@@ -207,18 +196,31 @@ def window_ids(vocab, texts):
     return [vocab.encode(pp.prepare(t)) for t in texts]
 
 
+def forward_padded(ids, params, steps, dropout=None):
+    """forward_window for the sa-bilstm variant, each utterance padded with PAD_ID to steps."""
+    lengths = [len(row) for row in ids]
+    padded = np.full((len(ids), steps), pp.PAD_ID)
+    for row, real in zip(padded, ids):
+        row[: len(real)] = real
+    x = params.embedding.lookup(padded)
+    fwd = ad.lstm(x, lengths, params.lstm_fwd.w, params.lstm_fwd.b)
+    bwd = ad.lstm(x, lengths, params.lstm_bwd.w, params.lstm_bwd.b, reverse=True)
+    u = m.self_attend(ad.max_over_time(ad.concat([fwd, bwd], axis=2), lengths))
+    if dropout is not None:
+        u = ad.dropout(u, *dropout)
+    return m.classify(u, params, dropout)
+
+
 def test_forward_window_padding_invariance_bit_exact():
-    cfg, vocab, params = tiny_setup(dropout_p=0.3)
+    cfg, vocab, params = tiny_setup()
     ids = window_ids(vocab, ["aa bb", "cc", "dd ee aa"])
-    plain = m.forward_window(ids, params, cfg, n_pad=3)
-    padded = m.forward_window(ids, params, cfg, n_pad=25)
-    unspecified = m.forward_window(ids, params, cfg)
+    plain = m.forward_window(ids, params, cfg)
     assert plain.shape == (3, len(LABEL_ORDER))
-    assert np.array_equal(plain.data, padded.data)
-    assert np.array_equal(plain.data, unspecified.data)
+    assert np.array_equal(plain.data, forward_padded(ids, params, 3).data)
+    assert np.array_equal(plain.data, forward_padded(ids, params, 25).data)
     # Same seeds make even training-mode dropout line up.
-    t1 = m.forward_window(ids, params, cfg, train=True, rng=ad.seeded_rng(4), n_pad=3)
-    t2 = m.forward_window(ids, params, cfg, train=True, rng=ad.seeded_rng(4), n_pad=25)
+    t1 = m.forward_window(ids, params, cfg, (0.3, ad.seeded_rng(4)))
+    t2 = forward_padded(ids, params, 25, (0.3, ad.seeded_rng(4)))
     assert np.array_equal(t1.data, t2.data)
     assert not np.array_equal(t1.data, plain.data)
 
@@ -258,12 +260,12 @@ def test_sa_variant_actually_mixes_rows():
 
 
 def test_classify_rejects_vectors_and_handles_empty_stack():
-    cfg, _, params = tiny_setup()
+    _, _, params = tiny_setup()
     with pytest.raises(ValueError):
-        m.classify(ad.Tensor(np.zeros(6)), params, cfg)
+        m.classify(ad.Tensor(np.zeros(6)), params)
     cfg2, _, params2 = tiny_setup(fc_dims=())
     x = ad.Tensor(np.random.default_rng(0).normal(size=(2, cfg2.sentence_dim)))
-    assert m.classify(x, params2, cfg2).shape == (2, len(LABEL_ORDER))
+    assert m.classify(x, params2).shape == (2, len(LABEL_ORDER))
 
 
 def test_forward_window_validates_shape():
@@ -273,8 +275,6 @@ def test_forward_window_validates_shape():
         m.forward_window(ids, params, cfg)  # 5 > window_size 4
     with pytest.raises(ValueError):
         m.forward_window([[]], params, cfg)
-    with pytest.raises(ValueError):
-        m.forward_window(window_ids(vocab, ["aa", "bb"]), params, cfg, n_pad=1)
 
 
 def test_forward_window_end_to_end_gradients_match_fd():

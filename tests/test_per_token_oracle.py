@@ -44,7 +44,7 @@ def case_specs():
 def outputs(spec):
     """(logits, {tensor name: gradient}) of weighted_nll(forward_window(...))."""
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=6, fc_dims=(8,),
-                        dropout_p=0.0, variant=spec["variant"])
+                        variant=spec["variant"])
     vocab = pp.build_vocab([WORDS])
     table = emb.random_table(vocab, cfg.embed_dim, seed=spec["table_seed"])
     params = m.ModelParams.init(cfg, table, seed=spec["param_seed"])

@@ -193,3 +193,16 @@ def test_vocab_rejects_bad_shapes():
         pp.Vocab(list(pp.SPECIALS) + ["dup", "dup"])
     with pytest.raises(ValueError):
         pp.Vocab(list(pp.SPECIALS) + ["has space"])
+
+
+def test_vocab_rejects_every_whitespace_character():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        for tok in (c, f"a{c}b"):
+            with pytest.raises(ValueError, match="bad vocab token"):
+                pp.Vocab(list(pp.SPECIALS) + [tok])
+    with pytest.raises(ValueError, match="bad vocab token"):
+        pp.Vocab(list(pp.SPECIALS) + [""])
+    # A character str.isspace does not count, like a zero-width space, is token text.
+    assert "a\u200bb" in pp.Vocab(list(pp.SPECIALS) + ["a\u200bb"])

@@ -25,7 +25,6 @@ def tiny_model_cfg(**over):
         hidden_size=4,
         window_size=4,
         fc_dims=(8,),
-        dropout_p=0.0,
         variant="sa-bilstm",
     )
     base.update(over)
@@ -323,6 +322,9 @@ def reseal_header(path, edit):
 def test_checkpoint_label_count_from_older_headers_must_be_eight(tmp_path):
     _, path, _, cfg, _ = saved_checkpoint(tmp_path)
     reseal_header(path, lambda h: h["model_config"].update(num_labels=8))
+    assert tr.load_checkpoint(path).model_config == cfg
+    # Older headers also carry the training dropout rate; loading drops it.
+    reseal_header(path, lambda h: h["model_config"].update(dropout_p=0.3))
     assert tr.load_checkpoint(path).model_config == cfg
     reseal_header(path, lambda h: h["model_config"].update(num_labels=4))
     with pytest.raises(tr.CheckpointError, match="4 labels"):
