@@ -9,6 +9,7 @@ sorting is needed and every rule fires at most once.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,7 +84,8 @@ _TAPE_STACK: list[Tape] = []
 def _out(data: np.ndarray, parents: tuple[Tensor, ...], rule: _BackwardRule) -> Tensor:
     """Wrap an op result, recording it on the active tape when relevant."""
     if DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("op produced a non-finite value")
+        # Every op calls _out directly, so the calling frame is the primitive's own.
+        raise FloatingPointError(f"{sys._getframe(1).f_code.co_name} produced a non-finite value")
     out = Tensor(data)
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None and any(tape._tracks(p) for p in parents):
@@ -182,12 +184,44 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=axis), parts, rule)
 
 
+class RowGrad:
+    """Gradient of a matrix that is zero outside a few rows.
+
+    ``ids`` are sorted, unique row ids and ``rows[i]`` is the gradient of row
+    ``ids[i]``. ``np.asarray`` gives the dense matrix. Adding two RowGrads
+    merges them row by row; multiplying by a scalar scales the rows.
+    """
+
+    __slots__ = ("shape", "ids", "rows")
+
+    def __init__(self, shape: tuple[int, int], ids: np.ndarray, rows: np.ndarray):
+        self.shape, self.ids, self.rows = shape, ids, rows
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=dtype)
+        out[self.ids] = self.rows
+        return out
+
+    def __add__(self, other):
+        if not isinstance(other, RowGrad):
+            return np.asarray(self) + other
+        ids = np.union1d(self.ids, other.ids)
+        rows = np.zeros((len(ids), self.shape[1]))
+        rows[np.searchsorted(ids, self.ids)] = self.rows
+        rows[np.searchsorted(ids, other.ids)] += other.rows
+        return RowGrad(self.shape, ids, rows)
+
+    def __mul__(self, c: float) -> "RowGrad":
+        return RowGrad(self.shape, self.ids, self.rows * c)
+
+
 def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
     """Select rows of a matrix by an index array of any rank; gradient scatter-adds back.
 
-    The result has shape ``ids.shape + (a.shape[1],)``. Rows listed in
-    ``stop_grad_rows`` never receive gradient, which keeps reserved rows
-    (like an all-zero padding row) fixed under training.
+    The result has shape ``ids.shape + (a.shape[1],)`` and the gradient is a
+    RowGrad over the distinct ids. Rows listed in ``stop_grad_rows`` never
+    receive gradient, which keeps reserved rows (like an all-zero padding
+    row) fixed under training.
     """
     _require_shape("gather_rows", a.shape, 2)
     idx = np.asarray(ids, dtype=np.intp)
@@ -199,11 +233,13 @@ def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
     frozen = tuple(stop_grad_rows)
 
     def rule(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        for r in frozen:
-            out[r] = 0.0
-        return (out,)
+        flat = idx.reshape(-1)
+        keep = ~np.isin(flat, frozen)
+        row_ids, slot = np.unique(flat[keep], return_inverse=True)
+        rows = np.zeros((len(row_ids), shape[1]))
+        # Each row sums its occurrences in index order, as a dense scatter-add would.
+        np.add.at(rows, slot, g.reshape(-1, shape[1])[keep])
+        return (RowGrad(shape, row_ids, rows),)
 
     return _out(a.data[idx], (a,), rule)
 
@@ -374,23 +410,24 @@ def weighted_nll(logits: Tensor, gold: Sequence[int], weights: Sequence[float]) 
 # backward pass and gradient checking
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(tape: Tape, loss: Tensor) -> "dict[Tensor, np.ndarray | RowGrad]":
     """Replay ``tape`` in reverse from a scalar loss.
 
     Returns a map from every gradient-bearing tensor reached to its
-    gradient. Fan-out accumulates additively; leaves without
+    gradient: an array, or a RowGrad for a matrix read only through
+    ``gather_rows``. Fan-out accumulates additively; leaves without
     ``requires_grad`` are skipped.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if id(loss) not in tape._produced:
         raise ValueError("backward: loss was not recorded on this tape")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones(())}
+    grads: "dict[Tensor, np.ndarray | RowGrad]" = {loss: np.ones(())}
     for out, parents, rule in reversed(tape._records):
         g = grads.get(out)
         if g is None:
             continue
-        pgrads = rule(g)
+        pgrads = rule(np.asarray(g))
         for parent, pg in zip(parents, pgrads):
             if pg is None or not tape._tracks(parent):
                 continue
@@ -430,9 +467,7 @@ def grad_check(
     grads = backward(tape, loss)
     worst = 0.0
     for p in params:
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros(p.shape)
+        g = np.asarray(grads[p]) if p in grads else np.zeros(p.shape)
         coords = list(np.ndindex(*p.shape)) if p.ndim else [()]
         if max_coords_per_tensor is not None and len(coords) > max_coords_per_tensor:
             if rng is None:

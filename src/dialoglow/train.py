@@ -10,6 +10,7 @@ produce byte-identical checkpoints and histories.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -101,39 +102,108 @@ def weighted_cross_entropy(logits, golds, class_weights) -> ad.Tensor:
     return ad.weighted_nll(logits, list(golds), weights)
 
 
+# Entries per slice of the Adam update: a slice of the parameter, its moments
+# and two scratch buffers stay in a core's L2 cache across the update's passes.
+ADAM_SLICE = 16384
+
+
 class AdamState:
-    """First/second-moment accumulators keyed like the parameter dict."""
+    """Step count and first/second moments, keyed like the parameter dict.
+
+    ``moved[name]`` holds the sorted ids of the rows (entries, for a 0-d or
+    1-d parameter) that have ever had a gradient. Every other row still has
+    zero moments, so Adam's step there is exactly 0.0 and ``adam_step``
+    leaves it alone.
+    """
 
     def __init__(self, named_params: dict):
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in named_params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in named_params.items()}
+        # np.zeros maps fresh zero pages; only the rows that move are ever written.
+        self.m = {k: np.zeros(p.shape) for k, p in named_params.items()}
+        self.v = {k: np.zeros(p.shape) for k, p in named_params.items()}
+        self.moved = {k: np.zeros(0, dtype=np.intp) for k in named_params}
+        self.scratch = np.empty((3, ADAM_SLICE))
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """A 2-d view of a C-contiguous array: one row per leading index (one row for 0-d)."""
+    return a.reshape(a.shape[0] if a.ndim else 1, -1)
+
+
+def _adam_rows(p, m, v, g, lr, bc1, bc2, t1, t2) -> None:
+    """The textbook Adam expressions on equal-shaped arrays, in place, op for op."""
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+    np.add(m, t1, out=m)  # m = b1 * m + (1 - b1) * g
+    np.multiply(g, g, out=t1)
+    np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.add(v, t1, out=v)  # v = b2 * v + (1 - b2) * (g * g)
+    np.divide(m, bc1, out=t1)
+    np.multiply(t1, lr, out=t1)
+    np.divide(v, bc2, out=t2)
+    np.sqrt(t2, out=t2)
+    np.add(t2, ADAM_EPS, out=t2)
+    np.divide(t1, t2, out=t1)
+    np.subtract(p, t1, out=p)  # p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
 
 def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
     Parameters missing from grads are treated as zero-gradient (their
-    moments still decay). The epsilon sits outside the square root.
+    moments still decay). The epsilon sits outside the square root. A
+    gradient is an array or an ``ad.RowGrad``. Only the rows that have ever
+    had a gradient are computed, slice by slice, with the textbook float
+    ops in the textbook order, so the result is bit-identical to the dense
+    update: a row that never had a gradient would move by exactly 0.0.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for name, p in named_params.items():
         g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
+        sparse = isinstance(g, ad.RowGrad)
+        if g is not None and not np.all(np.isfinite(g.rows if sparse else g)):
             raise ValueError(f"non-finite gradient for {name!r}")
-        mom = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        var = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        step = lr * (mom / bc1) / (np.sqrt(var / bc2) + ADAM_EPS)
-        p.data = p.data - step
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            p.data = p.data.copy()  # the update writes through reshaped views of p.data
+        p2, m2, v2 = _as_rows(p.data), _as_rows(state.m[name]), _as_rows(state.v[name])
+        n, width = p2.shape
+        moved = state.moved[name]
+        if sparse:
+            moved = state.moved[name] = np.union1d(moved, g.ids)
+            at = np.searchsorted(moved, g.ids)  # where each gradient row sits in moved
+        elif g is not None:
+            if len(moved) < n:
+                moved = state.moved[name] = np.arange(n)
+            g2 = _as_rows(np.ascontiguousarray(g))
+        per = max(1, ADAM_SLICE // width)
+        if state.scratch.shape[1] < per * width:
+            state.scratch = np.empty((3, per * width))
+        for lo in range(0, len(moved), per):
+            ids = moved[lo : lo + per]
+            k = len(ids)
+            # Runs of consecutive rows are updated through views, the rest through copies.
+            rows = slice(ids[0], ids[0] + k) if ids[-1] - ids[0] == k - 1 else ids
+            gs, t1, t2 = (buf[: k * width].reshape(k, width) for buf in state.scratch)
+            if g is None or sparse:
+                gs.fill(0.0)
+                if sparse:
+                    i, j = np.searchsorted(at, (lo, lo + k))
+                    gs[at[i:j] - lo] = g.rows[i:j]
+            else:
+                gs = g2[rows]
+            ps, ms, vs = p2[rows], m2[rows], v2[rows]
+            _adam_rows(ps, ms, vs, gs, lr, bc1, bc2, t1, t2)
+            if rows is ids:
+                p2[ids], m2[ids], v2[ids] = ps, ms, vs
 
 
 def clip_gradients(grads: dict, limit: float) -> float:
     """Scale the whole gradient down when its global norm exceeds limit."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    values = (g.rows if isinstance(g, ad.RowGrad) else g for g in grads.values())
+    total = math.sqrt(sum(float(np.sum(v * v)) for v in values))
     if total > limit:
         factor = limit / total
         for name in grads:
@@ -380,6 +450,9 @@ def train(
     if not train_ds.dialogues:
         raise ValueError("validation split consumed every training dialogue")
 
+    # adam_step updates the weights in place: train a copy, not the caller's table.
+    table = copy.copy(table)
+    table.weights = ad.Tensor(table.weights.data.copy(), requires_grad=table.weights.requires_grad)
     params = m.ModelParams.init(mcfg, table, seed=tcfg.seed)
     trainable = params.trainable_tensors()
     state = AdamState(trainable)
@@ -449,8 +522,7 @@ def train(
             },
         )
 
-    last_tensors = {k: t.data.copy() for k, t in params.named_tensors().items()}
-    last = checkpoint(last_tensors, epochs - 1, history)
+    last = checkpoint({k: t.data for k, t in params.named_tensors().items()}, epochs - 1, history)
     if best is None:
         best_ckpt = last
     else:

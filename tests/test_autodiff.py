@@ -367,13 +367,46 @@ def test_gather_rows_keeps_frozen_row_out_of_gradient():
     with ad.Tape() as tape:
         picked = ad.gather_rows(table, [0, 2, 0], stop_grad_rows=(0,))
         loss = ad.sum_all(picked)
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[table][0], np.zeros(3))
-    assert np.array_equal(grads[table][2], np.ones(3))
+    grad = np.asarray(ad.backward(tape, loss)[table])
+    assert np.array_equal(grad[0], np.zeros(3))
+    assert np.array_equal(grad[2], np.ones(3))
     with ad.Tape() as tape:
         picked = ad.gather_rows(table, [[0, 2], [2, 0]], stop_grad_rows=(0,))
         loss = ad.sum_all(picked)
     assert picked.shape == (2, 2, 3)
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[table][0], np.zeros(3))
-    assert np.array_equal(grads[table][2], np.full(3, 2.0))
+    grad = np.asarray(ad.backward(tape, loss)[table])
+    assert np.array_equal(grad[0], np.zeros(3))
+    assert np.array_equal(grad[2], np.full(3, 2.0))
+
+
+def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
+    rng = np.random.default_rng(4)
+    table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    ids1, ids2 = np.array([[1, 3, 1], [0, 5, 3]]), np.array([4, 1, 1, 0])
+    r1, r2 = rng.normal(size=(2, 3, 3)), rng.normal(size=(4, 3))
+    with ad.Tape() as tape:
+        a = ad.sum_all(ad.mul(ad.gather_rows(table, ids1, stop_grad_rows=(0,)), ad.Tensor(r1)))
+        b = ad.sum_all(ad.mul(ad.gather_rows(table, ids2, stop_grad_rows=(0,)), ad.Tensor(r2)))
+        loss = ad.add(a, b)
+    got = ad.backward(tape, loss)[table]
+    assert isinstance(got, ad.RowGrad)
+    assert got.ids.tolist() == [1, 3, 4, 5]  # sorted, distinct, frozen row left out
+    # Oracle: the dense scatter-add per lookup, summed in backward's order
+    # (the later lookup's gradient arrives first).
+    dense = []
+    for ids, r in ((ids1, r1), (ids2, r2)):
+        d = np.zeros((6, 3))
+        np.add.at(d, ids, r)
+        d[0] = 0.0
+        dense.append(d)
+    assert np.array_equal(np.asarray(got), dense[1] + dense[0])
+
+
+def test_debug_finite_check_names_the_op(monkeypatch):
+    scores = ad.Tensor([[np.inf, 0.0], [1.0, 2.0]])  # inf - inf makes a NaN in row 0
+    monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", True)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="^softmax produced a non-finite value"):
+            ad.softmax(scores)
+        monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)
+        assert not np.all(np.isfinite(ad.softmax(scores).data))

@@ -137,7 +137,7 @@ def test_zero_weight_utterance_adds_no_gradient_anywhere():
     named = params.trainable_tensors()
     assert set(with_extra) >= {named[k] for k in named}
     for name, t in named.items():
-        diff = np.max(np.abs(with_extra[t] - without[t]))
+        diff = np.max(np.abs(np.asarray(with_extra[t]) - np.asarray(without[t])))
         assert diff < 1e-12, f"{name} gradient moved by {diff}"
 
 
@@ -194,6 +194,83 @@ def test_clip_gradients_scales_only_above_limit():
     g2 = {"a": np.array([0.3])}
     tr.clip_gradients(g2, limit=10.0)
     assert np.array_equal(g2["a"], [0.3])
+
+
+def textbook_adam(p, m, v, g, t, lr):
+    """Kingma & Ba's update written out for one parameter: new (p, m, v)."""
+    m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+    v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * (g * g)
+    bc1, bc2 = 1.0 - tr.ADAM_BETA1**t, 1.0 - tr.ADAM_BETA2**t
+    return p - lr * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS), m, v
+
+
+def test_adam_steps_equal_the_textbook_expressions_bit_for_bit():
+    rng = np.random.default_rng(6)
+    shapes = {"s": (), "b": (5,), "w": (70, 300)}  # w spans two update slices
+    named = {k: ad.Tensor(rng.normal(size=sh), requires_grad=True) for k, sh in shapes.items()}
+    want = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in named.items()}
+    state = tr.AdamState(named)
+    for t in range(1, 5):
+        lr = tr.learning_rate(0.01, 0.99, t)
+        grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+        if t == 3:
+            del grads["b"]  # no gradient this step: its moments still decay
+        tr.adam_step(named, grads, state, lr)
+        for k, sh in shapes.items():
+            want[k] = textbook_adam(*want[k], grads.get(k, np.zeros(sh)), t, lr)
+            assert np.array_equal(named[k].data, want[k][0]), (k, t)
+            assert np.array_equal(state.m[k], want[k][1]), (k, t)
+            assert np.array_equal(state.v[k], want[k][2]), (k, t)
+    assert state.t == 4
+
+
+def test_row_gradient_adam_equals_dense_adam():
+    rng = np.random.default_rng(8)
+    weights = rng.normal(size=(7, 3))
+    weights[pp.PAD_ID] = 0.0
+    sides = []
+    for _ in range(2):
+        named = {"embedding": ad.Tensor(weights.copy(), requires_grad=True),
+                 "w": ad.Tensor(np.ones(4), requires_grad=True)}
+        sides.append((named, tr.AdamState(named)))
+    # The touched rows change between steps, ids repeat, the pad id appears,
+    # and the third step has no embedding gradient at all.
+    steps = [[[1, 2, 2], [pp.PAD_ID, 5, 1]], [[3, pp.PAD_ID, 5]], None, [[2, 6, 6, 1]]]
+    for t, ids in enumerate(steps):
+        grads = {"w": rng.normal(size=4)}
+        if ids is not None:
+            probe = ad.Tensor(np.zeros((7, 3)), requires_grad=True)
+            r = ad.Tensor(rng.normal(size=(len(ids), len(ids[0]), 3)))
+            with ad.Tape() as tape:
+                picked = ad.gather_rows(probe, ids, stop_grad_rows=(pp.PAD_ID,))
+                loss = ad.sum_all(ad.mul(picked, r))
+            grads["embedding"] = ad.backward(tape, loss)[probe]
+            assert isinstance(grads["embedding"], ad.RowGrad)
+        (rows, rows_state), (dense, dense_state) = sides
+        tr.adam_step(rows, grads, rows_state, lr=0.01)
+        dense_grads = {k: np.asarray(g) for k, g in grads.items()}
+        tr.adam_step(dense, dense_grads, dense_state, lr=0.01)
+        for k in rows:
+            assert np.array_equal(rows[k].data, dense[k].data), (k, t)
+            assert np.array_equal(rows_state.m[k], dense_state.m[k]), (k, t)
+            assert np.array_equal(rows_state.v[k], dense_state.v[k]), (k, t)
+    table = sides[0][0]["embedding"].data
+    assert np.array_equal(table[pp.PAD_ID], np.zeros(3))
+    assert np.array_equal(table[4], weights[4])  # never looked up, never moved
+    assert sides[0][1].moved["embedding"].tolist() == [1, 2, 3, 5, 6]
+
+
+def test_clip_gradients_on_row_and_dense_gradients_equals_clipping_dense_forms():
+    # Multiples of 0.5: every square and partial sum is exact, so the norm
+    # cannot depend on the order numpy sums in.
+    for limit in (1.0, 100.0):
+        rows = ad.RowGrad((5, 2), np.array([1, 3]), np.array([[2.0, -1.0], [0.5, 3.0]]))
+        mixed = {"a": np.array([[1.5, -2.0], [0.5, 1.0]]), "e": rows}
+        dense = {k: np.asarray(g) for k, g in mixed.items()}
+        assert tr.clip_gradients(mixed, limit) == tr.clip_gradients(dense, limit)
+        assert isinstance(mixed["e"], ad.RowGrad)
+        for k in dense:
+            assert np.array_equal(np.asarray(mixed[k]), dense[k]), (k, limit)
 
 
 def test_inverse_frequency_weights_balance_and_zeroing():
@@ -420,6 +497,21 @@ def test_train_is_deterministic_per_seed(tmp_path):
     ds, vocab, cfg, table = tiny_world()
     other = tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=2, seed=8, val_fraction=0.25))
     assert other.history != outs[0][0]
+
+
+def test_train_leaves_the_callers_table_alone():
+    ds, vocab, cfg, table = tiny_world(n_dialogues=4)
+    before = table.weights.data.copy()
+    tcfg = tr.TrainConfig(epochs=2, seed=0, val_fraction=0.25)
+    first, second = (tr.train(ds, vocab, table, cfg, tcfg) for _ in range(2))
+    assert first.history == second.history
+    for which in ("last", "best"):
+        a, b = getattr(first, which).tensors, getattr(second, which).tensors
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), (which, name)
+    assert np.array_equal(table.weights.data, before)
+    assert not np.shares_memory(first.last.tensors["embedding"], table.weights.data)
 
 
 def test_train_best_checkpoint_tracks_peak_val_uwa():
