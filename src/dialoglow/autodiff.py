@@ -1,7 +1,9 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Only the operations the dialogue model actually needs are provided. Every
-op runs on plain numpy arrays; while a tape is open, ops that touch a
+Only the operations the dialogue model records are provided; the whole
+sentence encoder is one of them, ``bilstm_max``, which runs both LSTM
+directions over a padded batch and max-pools them over time. Every op runs
+on plain numpy arrays; while a tape is open, ops that touch a
 gradient-bearing tensor append a backward rule to it, and ``backward``
 replays the tape in reverse. Creation order is already topological, so no
 sorting is needed and every rule fires at most once.
@@ -36,10 +38,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -103,19 +101,6 @@ def _require_shape(name: str, got: tuple[int, ...], want_ndim: int) -> None:
 # elementwise and linear-algebra primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return _out(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _out(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _out(a.data * c, (a,), lambda g: (g * c,))
@@ -155,33 +140,19 @@ def relu(a: Tensor) -> Tensor:
     return _out(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-    return _out(np.sum(a.data), (a,), lambda g: (np.full(shape, float(g)),))
-
-
 # ---------------------------------------------------------------------------
 # structural primitives
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors of one rank along their first axis."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    ndim = parts[0].ndim
-    if any(p.ndim != ndim for p in parts):
-        raise ValueError(
-            "concat: rank mismatch, shapes " + ", ".join(str(p.shape) for p in parts)
-        )
-    if not 0 <= axis < ndim:
-        raise ValueError(f"concat: bad axis {axis} for {ndim}-d tensors")
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _out(np.concatenate([p.data for p in parts], axis=axis), parts, rule)
+    if parts[0].ndim == 0 or any(p.ndim != parts[0].ndim for p in parts):
+        raise ValueError(f"concat: need tensors of one rank >= 1, got {[p.shape for p in parts]}")
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return _out(np.concatenate([p.data for p in parts]), parts, lambda g: np.split(g, splits))
 
 
 class RowGrad:
@@ -248,41 +219,22 @@ def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
 # model-specific primitives
 
 
-def _lengths(name: str, lengths, n: int, steps: int) -> np.ndarray:
-    lens = np.asarray(lengths, dtype=np.intp)
-    if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
-        raise ValueError(f"{name}: need {n} lengths in [1, {steps}], got {lengths!r}")
-    return lens
+def _pooled_lstm(
+    xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray, ties_to_last: bool
+):
+    """One LSTM direction over time-major inputs, max-pooled over each row's real steps.
 
-
-def lstm(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a padded batch, every row in lockstep.
-
-    ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
-    by padding. ``w`` is (4h, d + h) acting on [x_t, h_prev] and ``b`` is
-    (4h,), gates stacked input, forget, cell, output; no peepholes. Returns
-    (n, steps, h): the hidden state at every real step, exact zeros at
-    padding. A row's state changes only at its real steps, and ``reverse``
-    starts each row at its own last real step, so padding never enters a
-    real step. The input projection of all steps is one GEMM; only
-    ``h @ w_h.T`` runs step by step, and the backward pass is hand-written
-    BPTT whose weight gradient is one GEMM over all steps.
+    ``xs`` is (steps, n, d) and ``real`` (steps, n, 1) marks each row's real
+    steps, which come first. A row's state changes only at its real steps.
+    Returns the (n, h) maximum of the hidden state over those steps and the
+    BPTT rule mapping its gradient to (d xs, d w, d b). Of tied steps, the
+    first read takes the gradient, or the last if ``ties_to_last``. The
+    input projection of all steps is one GEMM, and so is the weight gradient.
     """
-    _require_shape("lstm", x.shape, 3)
-    n, steps, d = x.shape
-    hid = w.shape[0] // 4
-    if w.shape != (4 * hid, d + hid) or b.shape != (4 * hid,):
-        raise ValueError(f"lstm: input {x.shape}, weight {w.shape} and bias {b.shape} disagree")
-    lens = _lengths("lstm", lengths, n, steps)
-    t = np.arange(steps)
-    real = t < lens[:, None]
-    # order[r, s]: the step row r reads at lockstep s. It is its own inverse.
-    order = np.where(real, lens[:, None] - 1 - t, t) if reverse else np.broadcast_to(t, (n, steps))
-    real = real.T[:, :, None]  # (steps, n, 1), time-major like the state
-    rows = np.arange(n)
-    w_x, w_h = w.data[:, :d], w.data[:, d:]
-    xs = x.data[rows, order.T]  # (steps, n, d)
-    pre = (xs.reshape(-1, d) @ w_x.T + b.data).reshape(steps, n, 4 * hid)
+    steps, n, d = xs.shape
+    hid = b.shape[0] // 4
+    w_x, w_h = w[:, :d], w[:, d:]
+    pre = (xs.reshape(-1, d) @ w_x.T + b).reshape(steps, n, 4 * hid)
     acts = np.empty_like(pre)  # gate activations i, f, g, o
     cells = np.zeros((steps + 1, n, hid))  # cells[s], hs[s]: state entering step s
     hs = np.zeros((steps + 1, n, hid))
@@ -297,10 +249,13 @@ def lstm(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor, reverse: bool 
         tanh_c[s] = np.tanh(c)
         cells[s + 1] = np.where(real[s], c, cells[s])
         hs[s + 1] = np.where(real[s], o * tanh_c[s], hs[s])
-    out = np.where(real, hs[1:], 0.0)[order, rows[:, None]]
+    masked = np.where(real, hs[1:], -np.inf)
+    arg = np.argmax(masked[::-1] if ties_to_last else masked, axis=0)
+    arg = (steps - 1 - arg if ties_to_last else arg)[None]  # (1, n, h)
 
-    def rule(gy):
-        dh_out = np.where(real, gy[rows, order.T], 0.0)
+    def rule(gu):
+        dh_out = np.zeros((steps, n, hid))
+        np.put_along_axis(dh_out, arg, gu[None], axis=0)
         d_pre = np.empty_like(pre)
         dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
         for s in reversed(range(steps)):
@@ -316,32 +271,50 @@ def lstm(x: Tensor, lengths: Sequence[int], w: Tensor, b: Tensor, reverse: bool 
             dc = dc * f
         dz = d_pre.reshape(-1, 4 * hid)
         inputs = np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, d + hid)
-        dx = (dz @ w_x).reshape(steps, n, d)[order, rows[:, None]]
-        return dx, dz.T @ inputs, dz.sum(axis=0)
+        return (dz @ w_x).reshape(steps, n, d), dz.T @ inputs, dz.sum(axis=0)
 
-    return _out(out, (x, w, b), rule)
+    return np.take_along_axis(hs[1:], arg, axis=0)[0], rule
 
 
-def max_over_time(h: Tensor, lengths: Sequence[int]) -> Tensor:
-    """Max over the first ``lengths[r]`` steps of each row of an (n, steps, k) batch.
+def bilstm_max(
+    x: Tensor, lengths: Sequence[int], fwd_w: Tensor, fwd_b: Tensor, bwd_w: Tensor, bwd_b: Tensor
+) -> Tensor:
+    """Max-pooled BiLSTM vectors of a padded batch, (n, 2h), every row in lockstep.
 
-    Returns (n, k). Gradient flows to the first step attaining each max,
-    matching numpy's argmax tie-breaking; padding steps never take part.
+    ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
+    by padding. Each direction's ``w`` is (4h, d + h) acting on [x_t, h_prev]
+    and its ``b`` is (4h,), gates stacked input, forget, cell, output; no
+    peepholes. The forward direction reads each row from its first step,
+    the backward one from its own last real step, so padding never enters
+    a real step. Row r is the maximum over its real steps of the forward
+    hidden state, then of the backward one. Of tied steps, the first in
+    time takes the gradient, in both directions.
     """
-    _require_shape("max_over_time", h.shape, 3)
-    n, steps, k = h.shape
-    lens = _lengths("max_over_time", lengths, n, steps)
-    real = (np.arange(steps) < lens[:, None])[:, :, None]
-    arg = np.argmax(np.where(real, h.data, -np.inf), axis=1)
-    rows, cols = np.arange(n)[:, None], np.arange(k)
-    shape = h.shape
+    _require_shape("bilstm_max", x.shape, 3)
+    n, steps, d = x.shape
+    hid = fwd_w.shape[0] // 4
+    for w, b in ((fwd_w, fwd_b), (bwd_w, bwd_b)):
+        if w.shape != (4 * hid, d + hid) or b.shape != (4 * hid,):
+            raise ValueError(f"bilstm_max: x {x.shape}, w {w.shape} and b {b.shape} disagree")
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
+        raise ValueError(f"bilstm_max: need {n} lengths in [1, {steps}], got {lengths!r}")
+    t = np.arange(steps)
+    real = t < lens[:, None]
+    # order[r, s]: the step row r reads at lockstep s going backward. It is its own inverse.
+    order = np.where(real, lens[:, None] - 1 - t, t)
+    real = real.T[:, :, None]  # (steps, n, 1), time-major like the state
+    rows = np.arange(n)
+    u_fwd, fwd_rule = _pooled_lstm(x.data.transpose(1, 0, 2), real, fwd_w.data, fwd_b.data, False)
+    u_bwd, bwd_rule = _pooled_lstm(x.data[rows, order.T], real, bwd_w.data, bwd_b.data, True)
 
     def rule(g):
-        out = np.zeros(shape)
-        out[rows, arg, cols] = g
-        return (out,)
+        dx_fwd, dw_fwd, db_fwd = fwd_rule(g[:, :hid])
+        dx_bwd, dw_bwd, db_bwd = bwd_rule(g[:, hid:])
+        dx = dx_fwd.transpose(1, 0, 2) + dx_bwd[order, rows[:, None]]
+        return dx, dw_fwd, db_fwd, dw_bwd, db_bwd
 
-    return _out(h.data[rows, arg, cols], (h,), rule)
+    return _out(np.concatenate([u_fwd, u_bwd], axis=1), (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
 
 
 def softmax(scores: Tensor) -> Tensor:

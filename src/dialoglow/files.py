@@ -5,7 +5,7 @@ import os
 from pathlib import Path
 
 
-def write_atomic(path: "str | Path", data: bytes) -> None:
+def write_atomic(path: "str | Path", data: "bytes | bytearray | memoryview") -> None:
     """Replace ``path`` with ``data``; readers see the old file or the new one, never a part.
 
     The bytes go to a temp file in the same directory, which one rename

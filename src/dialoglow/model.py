@@ -3,11 +3,11 @@
 Per utterance, a single-layer BiLSTM reads the word vectors in both
 directions; each time step's two hidden states are concatenated and
 max-pooled over time into one sentence vector. A window's utterances are
-encoded in lockstep, by one LSTM op per direction. The "sa-bilstm" variant
-then lets every utterance in a window attend over all the others with
-scaled dot-product weights before a shared fully-connected stack scores
-the labels; the "bilstm" variant skips straight from sentence vector to
-classifier.
+encoded in lockstep by one op, ``autodiff.bilstm_max``, which runs both
+directions and pools them. The "sa-bilstm" variant then lets every
+utterance in a window attend over all the others with scaled dot-product
+weights before a shared fully-connected stack scores the labels; the
+"bilstm" variant skips straight from sentence vector to classifier.
 """
 from __future__ import annotations
 
@@ -143,17 +143,16 @@ def encode_sentence(
     """Pooled bidirectional sentence vectors of a window's utterances, (n, sentence_dim).
 
     The utterances run in lockstep, padded with PAD_ID to the longest one:
-    one embedding lookup and one LSTM op per direction for the whole
-    window. Padding never reaches a real step or the pooled maximum.
+    one embedding lookup and one pooled BiLSTM op for the whole window.
+    Padding never reaches a real step or the pooled maximum.
     """
     lengths = [len(ids) for ids in token_ids]
     padded = np.full((len(token_ids), max(lengths)), PAD_ID)
     for row, ids in zip(padded, token_ids):
         row[: len(ids)] = ids
     x = params.embedding.lookup(padded)
-    fwd = ad.lstm(x, lengths, params.lstm_fwd.w, params.lstm_fwd.b)
-    bwd = ad.lstm(x, lengths, params.lstm_bwd.w, params.lstm_bwd.b, reverse=True)
-    return ad.max_over_time(ad.concat([fwd, bwd], axis=2), lengths)
+    fwd, bwd = params.lstm_fwd, params.lstm_bwd
+    return ad.bilstm_max(x, lengths, fwd.w, fwd.b, bwd.w, bwd.b)
 
 
 def attention_scores(u_mat: Tensor) -> Tensor:

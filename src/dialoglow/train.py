@@ -245,12 +245,11 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    directory = []
-    payload = bytearray()
-    for name, arr in ckpt.tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        directory.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
-        payload += arr.tobytes()
+    arrays = [np.ascontiguousarray(arr, dtype="<f8") for arr in ckpt.tensors.values()]
+    directory, offset = [], 0
+    for name, arr in zip(ckpt.tensors, arrays):
+        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.nbytes
     header = {
         "model_config": dataclasses.asdict(ckpt.model_config),
         "vocab_sha256": ckpt.vocab_sha256,
@@ -258,14 +257,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": directory,
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
-    buf += struct.pack("<Q", len(hbytes))
-    buf += hbytes
-    buf += payload
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    write_atomic(path, bytes(buf))
+    buf = bytearray(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(hbytes)) + hbytes)
+    for arr in arrays:
+        buf += arr.data  # the array's own buffer, not a bytes copy of it
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
+    write_atomic(path, buf)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -416,7 +412,7 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
         return None
     with ad.Tape() as tape:
         parts = [m.forward_window(ids, params, cfg, dropout) for ids, _ in windows]
-        logits = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        logits = parts[0] if len(parts) == 1 else ad.concat(parts)
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
     by_name = {name: grads[t] for name, t in trainable.items() if t in grads}
@@ -468,8 +464,11 @@ def train(
     epochs = tcfg.epochs_for(mcfg.variant)
 
     history = []
-    best = None  # (uwa, epoch, tensor snapshot, history length)
+    best_uwa, best_epoch, best_tensors = None, None, None
     for epoch in range(epochs):
+        if best_epoch == epoch - 1:
+            # The epoch just ended is the best so far: copy it before this one moves it.
+            best_tensors = {k: t.data.copy() for k, t in params.named_tensors().items()}
         lr = learning_rate(tcfg.lr0, tcfg.decay, epoch)
         if mcfg.variant == "sa-bilstm":
             # One dialogue per step: all its windows share a single loss.
@@ -502,9 +501,8 @@ def train(
         history.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if val_uwa is not None and (best is None or val_uwa > best[0]):
-            snapshot = {k: t.data.copy() for k, t in params.named_tensors().items()}
-            best = (val_uwa, epoch, snapshot, len(history))
+        if val_uwa is not None and (best_uwa is None or val_uwa > best_uwa):
+            best_uwa, best_epoch = val_uwa, epoch
 
     def checkpoint(tensors, epoch, rows):
         return Checkpoint(
@@ -523,8 +521,8 @@ def train(
         )
 
     last = checkpoint({k: t.data for k, t in params.named_tensors().items()}, epochs - 1, history)
-    if best is None:
+    if best_epoch is None or best_epoch == epochs - 1:
         best_ckpt = last
     else:
-        best_ckpt = checkpoint(best[2], best[1], history[: best[3]])
+        best_ckpt = checkpoint(best_tensors, best_epoch, history[: best_epoch + 1])
     return TrainResult(best=best_ckpt, last=last, history=history)

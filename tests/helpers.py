@@ -1,0 +1,12 @@
+"""Loss functionals the tests differentiate; the engine itself has no use for them."""
+import numpy as np
+
+from dialoglow import autodiff as ad
+
+
+def project(y, r):
+    """The scalar sum(y * r) for a constant array r of y's shape, as one taped op."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != y.shape:
+        raise ValueError(f"project: shapes differ, {y.shape} vs {r.shape}")
+    return ad._out(np.sum(y.data * r), (y,), lambda g: (g * r,))

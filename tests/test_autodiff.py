@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from dialoglow import autodiff as ad
+from helpers import project
 
 
 # Independent oracle: plain central differences, no reuse of ad.grad_check.
@@ -33,28 +35,11 @@ def rand(rng, *shape, lo=-2.0, hi=2.0, grad=True):
     return ad.Tensor(rng.uniform(lo, hi, size=shape), requires_grad=grad)
 
 
-def spaced(rng, *shape, gap=0.05):
-    # Distinct well-separated values, so max() has no finite-difference kink.
-    vals = (np.arange(int(np.prod(shape))) - 3.0) * gap * 7.0
-    return ad.Tensor(rng.permutation(vals).reshape(shape), requires_grad=True)
-
-
-def project(y, rng):
+def random_projection(y, rng):
     # Random linear functional of the op output; makes the test directional.
     if y.ndim == 0:
         return ad.scale(y, float(rng.uniform(0.5, 1.5)))
-    r = ad.Tensor(rng.uniform(-1.0, 1.0, size=y.shape))
-    return ad.sum_all(ad.mul(y, r))
-
-
-def _case_add(rng):
-    a, b = rand(rng, 3, 4), rand(rng, 3, 4)
-    return [a, b], lambda: ad.add(a, b)
-
-
-def _case_mul(rng):
-    a, b = rand(rng, 5), rand(rng, 5)
-    return [a, b], lambda: ad.mul(a, b)
+    return project(y, rng.uniform(-1.0, 1.0, size=y.shape))
 
 
 def _case_scale(rng):
@@ -86,12 +71,12 @@ def _case_relu(rng):
 
 def _case_concat0(rng):
     a, b = rand(rng, 2, 3), rand(rng, 4, 3)
-    return [a, b], lambda: ad.concat([a, b], axis=0)
+    return [a, b], lambda: ad.concat([a, b])
 
 
 def _case_concat1(rng):
     a, b = rand(rng, 3), rand(rng, 5)
-    return [a, b], lambda: ad.concat([a, b], axis=0)
+    return [a, b], lambda: ad.concat([a, b])
 
 
 def _case_gather(rng):
@@ -104,23 +89,31 @@ def _case_gather2d(rng):
     return [a], lambda: ad.gather_rows(a, [[1, 3], [1, 4], [0, 1]])
 
 
-def _case_max_over_time(rng):
-    a = spaced(rng, 3, 4, 2)
-    return [a], lambda: ad.max_over_time(a, [4, 1, 2])
+def lstm_states(xs, w, b):
+    # Hidden state after each step of one LSTM direction over (steps, d) inputs.
+    hid = len(b) // 4
+    h = c = np.zeros(hid)
+    states = []
+    for xt in xs:
+        i, f, g, o = np.split(w @ np.concatenate([xt, h]) + b, 4)
+        c = expit(f) * c + expit(i) * np.tanh(g)
+        h = expit(o) * np.tanh(c)
+        states.append(h)
+    return np.array(states)
 
 
-def _lstm_case(rng, reverse):
+def _case_bilstm_max(rng):
     # Ragged rows: one fills every step, one has a single real step.
-    x, w, b = rand(rng, 3, 4, 2), rand(rng, 12, 5, lo=-1.0, hi=1.0), rand(rng, 12)
-    return [x, w, b], lambda: ad.lstm(x, [2, 4, 1], w, b, reverse=reverse)
-
-
-def _case_lstm(rng):
-    return _lstm_case(rng, reverse=False)
-
-
-def _case_lstm_reverse(rng):
-    return _lstm_case(rng, reverse=True)
+    x = rand(rng, 3, 4, 2)
+    fwd_w, fwd_b = rand(rng, 8, 4, lo=-1.0, hi=1.0), rand(rng, 8)
+    bwd_w, bwd_b = rand(rng, 8, 4, lo=-1.0, hi=1.0), rand(rng, 8)
+    params, lengths = [x, fwd_w, fwd_b, bwd_w, bwd_b], [2, 4, 1]
+    # The max has a kink where two steps tie: keep the finite differences clear of it.
+    for row, n in zip(x.data, lengths):
+        for w, b, xs in ((fwd_w, fwd_b, row[:n]), (bwd_w, bwd_b, row[:n][::-1])):
+            top = np.sort(lstm_states(xs, w.data, b.data), axis=0)
+            assume(n == 1 or np.min(top[-1] - top[-2]) > 1e-3)
+    return params, lambda: ad.bilstm_max(x, lengths, *params[1:])
 
 
 def _case_softmax(rng):
@@ -144,8 +137,6 @@ def _case_weighted_nll(rng):
 
 
 PRIMITIVE_CASES = [
-    _case_add,
-    _case_mul,
     _case_scale,
     _case_matmul22,
     _case_transpose,
@@ -155,9 +146,7 @@ PRIMITIVE_CASES = [
     _case_concat1,
     _case_gather,
     _case_gather2d,
-    _case_max_over_time,
-    _case_lstm,
-    _case_lstm_reverse,
+    _case_bilstm_max,
     _case_softmax,
     _case_dropout_train,
     _case_weighted_nll,
@@ -170,7 +159,7 @@ PRIMITIVE_CASES = [
 def test_primitive_gradient_matches_central_difference(case, seed):
     rng = np.random.default_rng(seed)
     params, op = case(rng)
-    loss_fn = lambda: project(op(), np.random.default_rng(seed + 1))
+    loss_fn = lambda: random_projection(op(), np.random.default_rng(seed + 1))
     with ad.Tape() as tape:
         loss = loss_fn()
     grads = ad.backward(tape, loss)
@@ -191,7 +180,7 @@ def test_shape_mismatch_errors_name_both_shapes():
     a = ad.Tensor(np.zeros((3, 4)))
     b = ad.Tensor(np.zeros((2, 4)))
     with pytest.raises(ValueError) as err:
-        ad.add(a, b)
+        ad.affine(a, b, ad.Tensor(np.zeros(4)))
     assert "(3, 4)" in str(err.value) and "(2, 4)" in str(err.value)
     with pytest.raises(ValueError) as err:
         ad.matmul(a, ad.Tensor(np.zeros((5, 2))))
@@ -201,7 +190,7 @@ def test_shape_mismatch_errors_name_both_shapes():
 def test_backward_requires_scalar_loss_on_tape():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
+        y = ad.scale(x, 2.0)
     with pytest.raises(ValueError):
         ad.backward(tape, y)
     off_tape = ad.Tensor(0.0)
@@ -210,13 +199,14 @@ def test_backward_requires_scalar_loss_on_tape():
 
 
 def test_fanout_gradients_accumulate():
-    x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    x = ad.Tensor([[1.0, -2.0, 0.5]], requires_grad=True)
+    square = lambda: ad.matmul(x, ad.transpose(x))  # (1, 1): the sum of squares
     with ad.Tape() as tape:
-        s = ad.mul(x, x)
-        loss = ad.sum_all(ad.add(s, s))
+        s = square()
+        loss = project(ad.concat([s, s]), np.ones((2, 1)))
     grads = ad.backward(tape, loss)
     assert np.allclose(grads[x], 4.0 * x.data, atol=1e-12)
-    want = fd_grad(lambda: ad.sum_all(ad.add(ad.mul(x, x), ad.mul(x, x))), x)
+    want = fd_grad(lambda: project(ad.concat([square(), square()]), np.ones((2, 1))), x)
     assert rel_err(grads[x], want) < 1e-6
 
 
@@ -224,34 +214,52 @@ def test_constant_leaves_get_no_gradient():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     c = ad.Tensor([3.0, 4.0])
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(x, c))
+        loss = project(ad.concat([x, c]), [1.0, 2.0, 3.0, 4.0])
     grads = ad.backward(tape, loss)
     assert x in grads
     assert c not in grads
 
 
 def test_max_over_time_routes_to_first_argmax():
-    h = ad.Tensor([[[1.0, 5.0], [3.0, 2.0], [3.0, 7.0]]], requires_grad=True)
-    with ad.Tape() as tape:
-        u = ad.max_over_time(h, [2])
-        loss = ad.sum_all(u)
-    assert np.array_equal(u.data, [[3.0, 5.0]])
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[h], [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
-    # Tie inside the valid range: first occurrence wins.
-    h2 = ad.Tensor([[[2.0], [2.0], [0.0]]], requires_grad=True)
-    with ad.Tape() as tape:
-        loss = ad.sum_all(ad.max_over_time(h2, [3]))
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[h2], [[[1.0], [0.0], [0.0]]])
+    # Zero weights make every gate a constant of its bias, and a forget bias
+    # of -1000 makes f exactly 0.0: every real step then has the same hidden
+    # state, so each maximum is an exact tie. With f = 0 and w_h = 0 only the
+    # step taking the gradient reaches the input half of the weight gradient.
+    hid, d = 2, 3
+    b = np.repeat([0.4, -1000.0, 0.9, 0.2], hid)
+    x = np.random.default_rng(2).normal(size=(2, 4, d))
+    r = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, 2 * hid))
+
+    def pooled(x, lengths):
+        params = []
+        for _ in range(2):
+            params += [ad.Tensor(np.zeros((4 * hid, d + hid)), requires_grad=True),
+                       ad.Tensor(b, requires_grad=True)]
+        with ad.Tape() as tape:
+            u = ad.bilstm_max(ad.Tensor(x), lengths, *params)
+            loss = project(u, r)
+        grads = ad.backward(tape, loss)
+        return u.data, [grads[p] for p in params]
+
+    u, (dw_fwd, db_fwd, dw_bwd, db_bwd) = pooled(x, [4, 2])
+    # The same rows cut to their first step in time: no tie left to break.
+    u_first, (first_dw_fwd, first_db_fwd, first_dw_bwd, first_db_bwd) = pooled(x[:, :1], [1, 1])
+    assert np.array_equal(u, u_first)
+    assert np.array_equal(db_fwd, first_db_fwd) and np.array_equal(db_bwd, first_db_bwd)
+    # The weight-gradient GEMM sums over every step, zeros included, so its
+    # rounding may differ by an ulp; another step's x would differ by O(1).
+    assert np.allclose(dw_fwd[:, :d], first_dw_fwd[:, :d], rtol=1e-12, atol=0.0)
+    assert np.allclose(dw_bwd[:, :d], first_dw_bwd[:, :d], rtol=1e-12, atol=0.0)
+    assert np.any(dw_fwd[:, :d] != 0.0) and np.any(dw_bwd[:, :d] != 0.0)
 
 
 def test_max_over_time_rejects_empty_span():
-    h = ad.Tensor(np.zeros((2, 3, 2)))
+    x = ad.Tensor(np.zeros((2, 3, 2)))
+    w, b = ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros(4))
     with pytest.raises(ValueError):
-        ad.max_over_time(h, [1, 0])
+        ad.bilstm_max(x, [1, 0], w, b, w, b)
     with pytest.raises(ValueError):
-        ad.max_over_time(h, [1, 4])
+        ad.bilstm_max(x, [1, 4], w, b, w, b)
 
 
 def test_softmax_known_values():
@@ -312,22 +320,22 @@ def test_grad_check_accepts_smooth_function():
     rng = np.random.default_rng(0)
     w = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     x = ad.Tensor(rng.normal(size=(3, 2)))
-    r = ad.Tensor(rng.normal(size=(3, 2)))
-    f = lambda: ad.sum_all(ad.mul(ad.softmax(ad.matmul(w, x)), r))
+    r = rng.normal(size=(3, 2))
+    f = lambda: project(ad.softmax(ad.matmul(w, x)), r)
     assert ad.grad_check(f, [w]) < 1e-6
 
 
 def test_grad_check_linear_function_near_machine_epsilon():
     w = ad.Tensor([0.3, -1.2, 2.0], requires_grad=True)
-    c = ad.Tensor([1.0, 2.0, -0.5])
-    f = lambda: ad.sum_all(ad.mul(w, c))
+    c = [1.0, 2.0, -0.5]
+    f = lambda: project(w, c)
     assert ad.grad_check(f, [w]) < 1e-9
 
 
 def test_grad_check_rejects_training_dropout():
     x = ad.Tensor(np.ones(64), requires_grad=True)
     rng = ad.seeded_rng(2)
-    f = lambda: ad.sum_all(ad.dropout(x, 0.5, rng))
+    f = lambda: project(ad.dropout(x, 0.5, rng), np.ones(64))
     with pytest.raises(ValueError):
         ad.grad_check(f, [x])
 
@@ -337,8 +345,8 @@ def test_grad_check_flags_wrong_gradient():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
 
     def broken():
-        y = ad.mul(x, x)
-        return ad.sum_all(ad._out(y.data.copy(), (y,), lambda g: (1.5 * g,)))
+        y = ad._out(x.data * x.data, (x,), lambda g: (3.0 * x.data * g,))
+        return project(y, np.ones(2))
 
     assert ad.grad_check(broken, [x]) > 0.2
 
@@ -346,8 +354,8 @@ def test_grad_check_flags_wrong_gradient():
 def test_grad_check_samples_large_tensors():
     rng = np.random.default_rng(1)
     w = ad.Tensor(rng.normal(size=(20, 20)), requires_grad=True)
-    r = ad.Tensor(rng.normal(size=(20, 20)))
-    f = lambda: ad.sum_all(ad.mul(ad.softmax(w), r))
+    r = rng.normal(size=(20, 20))
+    f = lambda: project(ad.softmax(w), r)
     err = ad.grad_check(f, [w], max_coords_per_tensor=10, rng=ad.seeded_rng(3))
     assert err < 1e-6
     with pytest.raises(ValueError):
@@ -366,13 +374,13 @@ def test_gather_rows_keeps_frozen_row_out_of_gradient():
     table = ad.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
     with ad.Tape() as tape:
         picked = ad.gather_rows(table, [0, 2, 0], stop_grad_rows=(0,))
-        loss = ad.sum_all(picked)
+        loss = project(picked, np.ones((3, 3)))
     grad = np.asarray(ad.backward(tape, loss)[table])
     assert np.array_equal(grad[0], np.zeros(3))
     assert np.array_equal(grad[2], np.ones(3))
     with ad.Tape() as tape:
         picked = ad.gather_rows(table, [[0, 2], [2, 0]], stop_grad_rows=(0,))
-        loss = ad.sum_all(picked)
+        loss = project(picked, np.ones((2, 2, 3)))
     assert picked.shape == (2, 2, 3)
     grad = np.asarray(ad.backward(tape, loss)[table])
     assert np.array_equal(grad[0], np.zeros(3))
@@ -385,9 +393,9 @@ def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
     ids1, ids2 = np.array([[1, 3, 1], [0, 5, 3]]), np.array([4, 1, 1, 0])
     r1, r2 = rng.normal(size=(2, 3, 3)), rng.normal(size=(4, 3))
     with ad.Tape() as tape:
-        a = ad.sum_all(ad.mul(ad.gather_rows(table, ids1, stop_grad_rows=(0,)), ad.Tensor(r1)))
-        b = ad.sum_all(ad.mul(ad.gather_rows(table, ids2, stop_grad_rows=(0,)), ad.Tensor(r2)))
-        loss = ad.add(a, b)
+        a = ad.gather_rows(table, ids1.reshape(-1), stop_grad_rows=(0,))
+        b = ad.gather_rows(table, ids2, stop_grad_rows=(0,))
+        loss = project(ad.concat([a, b]), np.concatenate([r1.reshape(-1, 3), r2]))
     got = ad.backward(tape, loss)[table]
     assert isinstance(got, ad.RowGrad)
     assert got.ids.tolist() == [1, 3, 4, 5]  # sorted, distinct, frozen row left out
@@ -408,5 +416,13 @@ def test_debug_finite_check_names_the_op(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError, match="^softmax produced a non-finite value"):
             ad.softmax(scores)
+        # The encoder is one op: a NaN anywhere in a row's input makes its vector NaN.
+        x = np.zeros((2, 3, 2))
+        x[1, 0, 1] = np.nan
+        w, b = ad.Tensor(np.full((4, 3), 0.5)), ad.Tensor(np.zeros(4))
+        assert np.all(np.isfinite(ad.bilstm_max(ad.Tensor(x[:1]), [3], w, b, w, b).data))
+        with pytest.raises(FloatingPointError, match="^bilstm_max produced a non-finite value"):
+            ad.bilstm_max(ad.Tensor(x), [3, 2], w, b, w, b)
         monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)
         assert not np.all(np.isfinite(ad.softmax(scores).data))
+

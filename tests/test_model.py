@@ -10,6 +10,7 @@ from dialoglow import embeddings as emb
 from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow.corpus import LABEL_ORDER
+from helpers import project
 
 
 def tiny_cfg(**over):
@@ -77,40 +78,45 @@ def test_named_tensors_cover_all_parameters():
 
 def test_lstm_with_zero_weights_runs_each_row_from_its_own_start():
     # Zero weights make every gate a constant of its bias, in i, f, g, o order.
+    # The hidden state then rises step by step when g > 0 and falls when g < 0,
+    # so the pooled maximum is a row's last state or its first.
     l, d = 2, 3
-    gate = {"i": 0.3, "f": -0.8, "g": 1.1, "o": 0.5}
-    w = ad.Tensor(np.zeros((4 * l, d + l)))
-    b = ad.Tensor(np.repeat(list(gate.values()), l))
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
-    i, f, g, o = sig(gate["i"]), sig(gate["f"]), math.tanh(gate["g"]), sig(gate["o"])
-    c, want = 0.0, []
-    for _ in range(3):
-        c = f * c + i * g
-        want.append(o * math.tanh(c))
+    directions, states = [], []
+    for cell in (1.1, -1.1):  # forward, backward
+        gate = {"i": 0.3, "f": -0.8, "g": cell, "o": 0.5}
+        directions += [ad.Tensor(np.zeros((4 * l, d + l))),
+                       ad.Tensor(np.repeat(list(gate.values()), l))]
+        i, f, g, o = sig(gate["i"]), sig(gate["f"]), math.tanh(gate["g"]), sig(gate["o"])
+        c, want = 0.0, []
+        for _ in range(3):
+            c = f * c + i * g
+            want.append(o * math.tanh(c))
+        states.append(want)
     x = ad.Tensor(np.random.default_rng(0).normal(size=(2, 3, d)))
-    fwd = ad.lstm(x, [3, 1], w, b).data
-    bwd = ad.lstm(x, [3, 1], w, b, reverse=True).data
-    assert np.allclose(fwd[0], np.array(want)[:, None], atol=1e-15)
-    assert np.allclose(bwd[0], np.array(want[::-1])[:, None], atol=1e-15)
-    for out in (fwd, bwd):
-        assert np.allclose(out[1, 0], want[0], atol=1e-15)
-        assert np.array_equal(out[1, 1:], np.zeros((2, l)))  # padding stays exactly zero
+    u = ad.bilstm_max(x, [3, 1], *directions).data
+    rising, falling = states
+    assert np.allclose(u[0], [rising[2]] * l + [falling[0]] * l, atol=1e-15)
+    assert np.allclose(u[1], [rising[0]] * l + [falling[0]] * l, atol=1e-15)
 
 
 def test_lstm_three_chained_steps_gradient_matches_fd():
     rng = np.random.default_rng(7)
     l, d = 3, 4
-    p = m.LstmDirection(
-        w=ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
-        b=ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True),
+    fwd, bwd = (
+        m.LstmDirection(
+            w=ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
+            b=ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True),
+        )
+        for _ in range(2)
     )
-    x = ad.Tensor(rng.uniform(-1, 1, (1, 3, d)))
-    r = ad.Tensor(rng.uniform(-1, 1, (1, 3, l)))
+    x = ad.Tensor(rng.uniform(-1, 1, (1, 3, d)), requires_grad=True)
+    r = rng.uniform(-1, 1, (1, 2 * l))
 
     def f():
-        return ad.sum_all(ad.mul(ad.lstm(x, [3], p.w, p.b), r))
+        return project(ad.bilstm_max(x, [3], fwd.w, fwd.b, bwd.w, bwd.b), r)
 
-    assert ad.grad_check(f, [p.w, p.b]) < 1e-5
+    assert ad.grad_check(f, [x, fwd.w, fwd.b, bwd.w, bwd.b]) < 1e-5
 
 
 def test_encode_sentence_ignores_trailing_padding_ids():
@@ -203,9 +209,8 @@ def forward_padded(ids, params, steps, dropout=None):
     for row, real in zip(padded, ids):
         row[: len(real)] = real
     x = params.embedding.lookup(padded)
-    fwd = ad.lstm(x, lengths, params.lstm_fwd.w, params.lstm_fwd.b)
-    bwd = ad.lstm(x, lengths, params.lstm_bwd.w, params.lstm_bwd.b, reverse=True)
-    u = m.self_attend(ad.max_over_time(ad.concat([fwd, bwd], axis=2), lengths))
+    fwd, bwd = params.lstm_fwd, params.lstm_bwd
+    u = m.self_attend(ad.bilstm_max(x, lengths, fwd.w, fwd.b, bwd.w, bwd.b))
     if dropout is not None:
         u = ad.dropout(u, *dropout)
     return m.classify(u, params, dropout)

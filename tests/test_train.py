@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
 from dialoglow.corpus import EmotionLabel, serialize_dataset
+from helpers import project
 
 
 def tiny_model_cfg(**over):
@@ -240,10 +242,10 @@ def test_row_gradient_adam_equals_dense_adam():
         grads = {"w": rng.normal(size=4)}
         if ids is not None:
             probe = ad.Tensor(np.zeros((7, 3)), requires_grad=True)
-            r = ad.Tensor(rng.normal(size=(len(ids), len(ids[0]), 3)))
+            r = rng.normal(size=(len(ids), len(ids[0]), 3))
             with ad.Tape() as tape:
                 picked = ad.gather_rows(probe, ids, stop_grad_rows=(pp.PAD_ID,))
-                loss = ad.sum_all(ad.mul(picked, r))
+                loss = project(picked, r)
             grads["embedding"] = ad.backward(tape, loss)[probe]
             assert isinstance(grads["embedding"], ad.RowGrad)
         (rows, rows_state), (dense, dense_state) = sides
@@ -330,6 +332,31 @@ def test_checkpoint_rebuilds_identical_forward_pass(tmp_path):
     a = m.forward_window(ids, params, cfg).data
     b = m.forward_window(ids, params2, cfg2).data
     assert np.array_equal(a, b)
+
+
+def test_checkpoint_file_bytes_are_pinned(tmp_path):
+    # The digest was recorded from the writer that copied each tensor to bytes
+    # before joining them; writing from the arrays' own buffers changes nothing.
+    # The tensors cover an integer array, a non-contiguous one and an empty one.
+    ckpt = tr.Checkpoint(
+        model_config=m.ModelConfig(embed_dim=3, hidden_size=2, window_size=4, fc_dims=(2,),
+                                   variant="bilstm"),
+        tensors={
+            "embedding": np.arange(12.0).reshape(4, 3) / 7.0,
+            "bias": np.array([1.5, -2.0, np.pi]),
+            "counts": np.arange(6).reshape(2, 3).T,
+            "empty": np.zeros((0, 3)),
+        },
+        vocab_sha256="ab" * 32,
+        metadata={"epoch": 2, "history": [{"epoch": 0, "val_uwa": 0.25}], "note": "pinned"},
+    )
+    path = tmp_path / "pinned.ckpt"
+    tr.save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    assert len(blob) == 632
+    assert hashlib.sha256(blob).hexdigest() == (
+        "6467be1f21a3fd30b38e178d185a11cbd51794fdafb2aa6c536f21d7324774fd"
+    )
 
 
 def test_loaded_tensors_own_writable_memory(tmp_path):
@@ -523,6 +550,28 @@ def test_train_best_checkpoint_tracks_peak_val_uwa():
     assert uwas[best_epoch] == max(uwas)
     assert best_epoch == uwas.index(max(uwas))  # ties go to the earliest
     assert result.best.metadata["history"] == result.history[: best_epoch + 1]
+
+
+def test_train_best_checkpoint_equals_a_run_stopped_at_the_best_epoch():
+    ds, vocab, cfg, table = tiny_world(n_dialogues=12)
+    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.02, dropout=0.0, val_fraction=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg)
+    best = result.best.metadata["epoch"]
+    assert 0 < best < 4  # later epochs train on after the best one
+    stopped = tr.train(ds, vocab, table, cfg, dataclasses.replace(tcfg, epochs=best + 1))
+    assert result.best.tensors.keys() == stopped.last.tensors.keys()
+    for name, arr in result.best.tensors.items():
+        assert arr.tobytes() == stopped.last.tensors[name].tobytes(), name
+
+
+def test_train_best_last_epoch_shares_the_last_checkpoint_arrays():
+    ds, vocab, cfg, table = tiny_world(n_dialogues=8)
+    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.05, dropout=0.0, val_fraction=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg)
+    assert result.best.metadata["epoch"] == 4
+    assert result.best.tensors.keys() == result.last.tensors.keys()
+    for name, arr in result.best.tensors.items():
+        assert np.shares_memory(arr, result.last.tensors[name]), name
 
 
 def test_train_bilstm_variant_batches_flat_utterances():
