@@ -418,15 +418,12 @@ def grad_check(
     f: Callable[[], Tensor],
     params: Iterable[Tensor],
     eps: float = 1e-5,
-    max_coords_per_tensor: "int | None" = None,
-    rng: "np.random.Generator | None" = None,
 ) -> float:
     """Compare taped gradients of ``f()`` against central finite differences.
 
     ``f`` must close over ``params`` and be deterministic (a dropout mask
-    drawn afresh per call is rejected). Large tensors can be spot-checked by
-    sampling ``max_coords_per_tensor`` coordinates. Returns the worst
-    relative error, guarded at GRAD_CHECK_FLOOR.
+    drawn afresh per call is rejected). Every coordinate of every tensor is
+    checked. Returns the worst relative error, guarded at GRAD_CHECK_FLOOR.
     """
     params = list(params)
     with Tape() as tape:
@@ -441,13 +438,7 @@ def grad_check(
     worst = 0.0
     for p in params:
         g = np.asarray(grads[p]) if p in grads else np.zeros(p.shape)
-        coords = list(np.ndindex(*p.shape)) if p.ndim else [()]
-        if max_coords_per_tensor is not None and len(coords) > max_coords_per_tensor:
-            if rng is None:
-                raise ValueError("grad_check: sampling coordinates needs an rng")
-            pick = rng.choice(len(coords), size=max_coords_per_tensor, replace=False)
-            coords = [coords[i] for i in sorted(pick)]
-        for idx in coords:
+        for idx in np.ndindex(*p.shape):
             orig = p.data[idx]
             p.data[idx] = orig + eps
             lo_hi = float(f().data)

@@ -24,7 +24,7 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import (
-    CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation, split_windows,
+    CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_windows,
 )
 from .files import write_atomic
 
@@ -155,10 +155,14 @@ def _resolve_input(raw: str, data_dir: "Path | None") -> Path:
     raise CliError(f"no such file: {raw}")
 
 
-def _config_echo(mcfg, tcfg) -> dict:
+def _provenance(ckpt: tr.Checkpoint) -> dict:
+    """The configs and tool version behind a checkpoint, for JSON outputs."""
     return {
-        "model": dataclasses.asdict(mcfg),
-        "train": dataclasses.asdict(tcfg) if tcfg is not None else None,
+        "config": {
+            "model": dataclasses.asdict(ckpt.model_config),
+            "train": ckpt.metadata.get("train_config"),
+        },
+        "version": __version__,
     }
 
 
@@ -245,16 +249,14 @@ def cmd_train(args) -> int:
     data_dir = _data_dir(paths_cfg)
     ds = load_dataset(_resolve_input(args.data, data_dir), _split(args.split))
 
+    val_ds = None
     if args.val is not None:
-        train_ds = ds
         val_ds = load_dataset(_resolve_input(args.val, data_dir), Split.VALIDATION)
-    else:
-        # Carve validation out first so the vocab never sees held-out text.
-        train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
-        if not val_ds.dialogues:
-            val_ds = train_ds
-    if not train_ds.dialogues:
-        raise CliError("validation split consumed every training dialogue")
+    # Carve validation out first so the vocab never sees held-out text.
+    try:
+        train_ds, val_ds = tr.split_for_training(ds, tcfg, val_ds)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
     if weight_mode == "inverse-frequency":
         tcfg = dataclasses.replace(tcfg, class_weights=tr.inverse_frequency_weights(train_ds))
@@ -283,12 +285,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
     tr.save_checkpoint(result.best, out / "checkpoint.bin")
-    history = {
-        "config": _config_echo(result.best.model_config, tcfg),
-        "version": __version__,
-        "history": result.history,
-    }
-    _write_json(out / "history.json", history)
+    _write_json(out / "history.json", {**_provenance(result.best), "history": result.history})
     best = result.best.metadata["epoch"]
     uwa = result.history[best]["val_uwa"]
     shown = "-" if uwa is None else f"{100.0 * uwa:.1f}"
@@ -324,11 +321,7 @@ def cmd_eval(args) -> int:
     ds = load_dataset(_resolve_input(args.data, _data_dir({})), _split(args.split))
     report = tr.evaluate_dataset(ds, vocab, params, cfg)
     print(report.table())
-    blob = {
-        "config": {"model": dataclasses.asdict(cfg), "train": ckpt.metadata.get("train_config")},
-        "version": __version__,
-        "report": report.to_json_dict(),
-    }
+    blob = {**_provenance(ckpt), "report": report.to_json_dict()}
     if args.out:
         _write_json(Path(args.out), blob)
     else:
@@ -378,11 +371,7 @@ def cmd_predict(args) -> int:
         # Keep the prediction schema pure; provenance rides in a sidecar.
         _write_json(
             out.with_name(out.name + ".meta.json"),
-            {
-                "config": {"model": dataclasses.asdict(cfg), "train": ckpt.metadata.get("train_config")},
-                "version": __version__,
-                "vocab_sha256": ckpt.vocab_sha256,
-            },
+            {**_provenance(ckpt), "vocab_sha256": ckpt.vocab_sha256},
         )
         n = sum(len(dlg) for dlg in annotated)
         print(f"{n} utterances annotated -> {out}")

@@ -3,12 +3,15 @@
 Cleaning pipeline, in order: URLs to <url>, emoji to their textual
 meanings, every other non-ASCII character dropped, lowercasing, standalone
 numerals to <number>, then known person names to <name> and known place
-names to <location>. Duplicate-collapse runs afterwards and marks stretchy
-spellings with <duplicate>; tokenization keeps placeholders and
-contractions whole and splits punctuation off. Each stage is idempotent.
+names to <location>. Duplicate-collapse runs afterwards: three or more of
+one letter or digit (a character where str.isalnum() is true), or two or
+more of one other mark, shrink to one copy and add a <duplicate> marker.
+Tokenization keeps placeholders and contractions whole and splits
+punctuation off. Each stage is idempotent.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections import Counter
@@ -30,6 +33,13 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _NUMBER_RE = re.compile(r"\b\d+(?:[.,:]\d+)*\b")
 _PLACEHOLDER_CHUNK_RE = re.compile(r"^<[a-z]+>$")
 _TOKEN_RE = re.compile(r"<[a-z]+>|[a-z0-9]+(?:'[a-z0-9]+)*|\S")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+# [^\W_] is exactly the characters where str.isalnum() is true.
+_LETTER_RUN_RE = re.compile(r"([^\W_])\1\1+")
+_MARK_RUN_RE = re.compile(r"([^\w\s]|_)\1+")
+# A whitespace-delimited chunk that holds a run. The lookbehind keeps the
+# lookahead to chunk starts, so a chunk is scanned once, not once per character.
+_RUN_CHUNK_RE = re.compile(r"(?<!\S)(?=\S*?(?:([^\W_])\1\1|([^\w\s]|_)\2))\S+")
 
 
 def _read_table(path: Path) -> dict[str, str]:
@@ -43,38 +53,23 @@ def _read_table(path: Path) -> dict[str, str]:
     return table
 
 
-_TABLES: dict[str, object] = {}
-
-
+@functools.cache
 def _emoji_table() -> dict[str, str]:
-    if "emoji" not in _TABLES:
-        _TABLES["emoji"] = _read_table(_DATA_DIR / "emoji.tsv")
-    return _TABLES["emoji"]
+    return _read_table(_DATA_DIR / "emoji.tsv")
 
 
+@functools.cache
 def _lexicon_re(which: str) -> "re.Pattern[str]":
-    key = which + "_re"
-    if key not in _TABLES:
-        entries = sorted(_read_table(_DATA_DIR / f"{which}.tsv"), key=len, reverse=True)
-        _TABLES[key] = re.compile(
-            r"\b(?:" + "|".join(re.escape(e) for e in entries) + r")\b"
-        )
-    return _TABLES[key]
+    entries = sorted(_read_table(_DATA_DIR / f"{which}.tsv"), key=len, reverse=True)
+    return re.compile(r"\b(?:" + "|".join(re.escape(e) for e in entries) + r")\b")
 
 
 def clean_text(raw: str) -> str:
     """Normalize one raw utterance to lowercase ASCII plus placeholders."""
     s = _URL_RE.sub("<url>", raw)
     emoji = _emoji_table()
-    if not s.isascii():
-        out = []
-        for ch in s:
-            meaning = emoji.get(ch)
-            if meaning is not None:
-                out.append(f" {meaning} ")
-            elif ch.isascii():
-                out.append(ch)
-        s = "".join(out)
+    # A table emoji becomes its meaning; any other non-ASCII character is dropped.
+    s = _NON_ASCII_RE.sub(lambda m: f" {emoji[m[0]]} " if m[0] in emoji else "", s)
     s = s.lower()
     s = _NUMBER_RE.sub("<number>", s)
     s = _lexicon_re("names").sub("<name>", s)
@@ -82,53 +77,32 @@ def clean_text(raw: str) -> str:
     return " ".join(s.split())
 
 
-def _runs(chunk: str) -> Iterable[tuple[str, int]]:
-    i = 0
-    while i < len(chunk):
-        j = i
-        while j < len(chunk) and chunk[j] == chunk[i]:
-            j += 1
-        yield chunk[i], j - i
-        i = j
+def _collapse_chunk(match: "re.Match[str]") -> str:
+    chunk = match[0]
+    if _PLACEHOLDER_CHUNK_RE.match(chunk):
+        return chunk
+    # split() alternates word pieces (even indices) with captured marks (odd).
+    pieces = []
+    for i, part in enumerate(_MARK_RUN_RE.split(chunk)):
+        if i % 2:
+            pieces.append(part + " <duplicate>")
+        elif part:
+            word, n = _LETTER_RUN_RE.subn(r"\1", part)
+            pieces.append(word + " <duplicate>" if n else word)
+    return " ".join(pieces)
 
 
 def collapse_duplicates(text: str) -> str:
     """Collapse stretched spellings, appending a <duplicate> marker.
 
-    Three or more repeated letters inside a word keep one copy and mark the
-    word; two or more repeated punctuation marks become a single detached
-    mark plus the marker. "cool" stays as is, "oooooh" becomes
+    A run is three or more of one letter or digit (a character where
+    str.isalnum() is true), or two or more of one other non-space mark.
+    A letter run keeps one copy and marks its word; a mark run becomes a
+    single detached mark plus the marker. Placeholder chunks such as
+    "<name>" stay whole. "cool" stays as is, "oooooh" becomes
     "oh <duplicate>" and "oh!!!!!!" becomes "oh ! <duplicate>".
     """
-    pieces = []
-    for chunk in text.split():
-        if _PLACEHOLDER_CHUNK_RE.match(chunk):
-            pieces.append(chunk)
-            continue
-        current: list[str] = []
-        marked = False
-
-        def flush():
-            nonlocal marked
-            if current:
-                pieces.append("".join(current) + (" <duplicate>" if marked else ""))
-                current.clear()
-            marked = False
-
-        for ch, n in _runs(chunk):
-            if ch.isalnum():
-                if n >= 3:
-                    current.append(ch)
-                    marked = True
-                else:
-                    current.append(ch * n)
-            elif n >= 2:
-                flush()
-                pieces.append(ch + " <duplicate>")
-            else:
-                current.append(ch)
-        flush()
-    return " ".join(pieces)
+    return " ".join(_RUN_CHUNK_RE.sub(_collapse_chunk, text).split())
 
 
 def tokenize(text: str) -> TokenSequence:

@@ -422,6 +422,24 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
     return float(loss.data)
 
 
+def split_for_training(
+    ds: Dataset, tcfg: TrainConfig, val_ds: "Dataset | None" = None
+) -> "tuple[Dataset, Dataset]":
+    """(training set, scoring set): ds and val_ds when val_ds is given, else ds
+    split by a seeded tcfg.val_fraction, scoring on the training part when
+    nothing is held out. ValueError if no training dialogue is left.
+    """
+    if val_ds is None:
+        train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
+        if not val_ds.dialogues:
+            val_ds = train_ds
+    else:
+        train_ds = ds
+    if not train_ds.dialogues:
+        raise ValueError("validation split consumed every training dialogue")
+    return train_ds, val_ds
+
+
 def train(
     ds: Dataset,
     vocab: Vocab,
@@ -433,19 +451,11 @@ def train(
 ) -> TrainResult:
     """Train from scratch on ds; deterministic given tcfg.seed.
 
-    When val_ds is absent, a seeded fraction of ds is held out; with
+    The training and scoring sets come from split_for_training; with
     val_fraction 0 the (unshuffled) training set doubles as the scoring
     set, which is exactly what an overfitting check wants.
     """
-    if val_ds is None:
-        train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
-        if not val_ds.dialogues:
-            val_ds = train_ds
-    else:
-        train_ds = ds
-    if not train_ds.dialogues:
-        raise ValueError("validation split consumed every training dialogue")
-
+    train_ds, val_ds = split_for_training(ds, tcfg, val_ds)
     # adam_step updates the weights in place: train a copy, not the caller's table.
     table = copy.copy(table)
     table.weights = ad.Tensor(table.weights.data.copy(), requires_grad=table.weights.requires_grad)

@@ -142,6 +142,15 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_train_split_leaving_no_training_dialogue_exits_2(tmp_path, capsys):
+    data = write_corpus(tmp_path, n=1)
+    out = tmp_path / "x"
+    rc = cli.main(["train", str(data), "--out", str(out), "--val-fraction", "0.6", "--quiet"])
+    assert rc == 2
+    assert "validation split consumed every training dialogue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_inverse_frequency_weights_flag(tmp_path):
     rc, out = run_train(tmp_path, extra=["--class-weights", "inverse-frequency"])
     assert rc == 0

@@ -293,5 +293,5 @@ def test_forward_window_end_to_end_gradients_match_fd():
         return ad.weighted_nll(logits, gold, weights)
 
     tensors = list(params.named_tensors().values())
-    err = ad.grad_check(f, tensors, max_coords_per_tensor=20, rng=ad.seeded_rng(9))
+    err = ad.grad_check(f, tensors)
     assert err < 1e-5

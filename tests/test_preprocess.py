@@ -36,6 +36,11 @@ COLLAPSE_GOLDENS = [
     ("<name>!!!", "<name> ! <duplicate>"),
     ("a--b", "a - <duplicate> b"),
     ("", ""),
+    ("<aaa>!!", "<a> <duplicate> ! <duplicate>"),
+    ("a__b", "a _ <duplicate> b"),
+    ("\u00e9\u00e9\u00e9", "\u00e9 <duplicate>"),
+    ("1111", "1 <duplicate>"),
+    ("?!!", "? ! <duplicate>"),
 ]
 
 TOKENIZE_GOLDENS = [
