@@ -7,11 +7,21 @@ on plain numpy arrays; while a tape is open, ops that touch a
 gradient-bearing tensor append a backward rule to it, and ``backward``
 replays the tape in reverse. Creation order is already topological, so no
 sorting is needed and every rule fires at most once.
+
+``bilstm_max`` is the only op that uses a second thread. When its weights
+are large enough (PARALLEL_MIN_WEIGHTS) and the usable CPUs hold both
+directions' BLAS threads (set by OPENBLAS_NUM_THREADS or OMP_NUM_THREADS),
+the backward direction runs on one worker thread while the calling thread
+runs the forward one, in the forward pass and in BPTT alike; numpy
+releases the GIL inside its GEMMs and large loops, so they overlap.
+Each direction writes only its own arrays, so the results are bit-identical
+to running them one after the other, which is what happens otherwise.
 """
 from __future__ import annotations
 
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -276,6 +286,67 @@ def _pooled_lstm(
     return np.take_along_axis(hs[1:], arg, axis=0)[0], rule
 
 
+# The directions overlap only while numpy runs without the GIL, mostly in each
+# step's recurrent GEMM, whose time grows with the weight matrix. Below this
+# many weight entries per direction, 4h * (d + h), the GEMMs are too short and
+# the second thread mostly waits for the GIL. Forward + BPTT time, parallel
+# over serial, on a 2-core x86-64 VM with one OpenBLAS thread: h=256 (as in
+# ModelConfig, 569k entries) 0.58-0.74 for 1-16 rows of 2-19 steps; h=128
+# 0.87-1.05; h=8-64 with d <= 64 1.3-2.0, except 0.86 at h=64 with 64 rows.
+# The value was chosen to keep the tests' tiny models and the gradient checks
+# serial. h=128 with d=300 (219k entries) falls below it and stays serial;
+# that size is not measured end to end, as no benchmark workload uses it.
+PARALLEL_MIN_WEIGHTS = 1 << 18
+
+
+def _new_pool() -> None:
+    # One worker, started on the first submit: the calling thread runs the
+    # forward direction, the worker the backward one, so at most two threads
+    # compute. An op that stays serial never submits, so starts no thread.
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dialoglow-bilstm")
+
+
+_new_pool()
+# A forked child inherits the executor but not its thread, and work queued on
+# it would wait forever: the child gets a pool of its own.
+os.register_at_fork(after_in_child=_new_pool)
+
+
+def _cores_for_both_directions() -> bool:
+    """Whether the two directions' BLAS threads fit on the usable CPUs.
+
+    OpenBLAS, numpy's usual BLAS, takes its thread count from these variables
+    in this order, and with neither set starts one thread per usable CPU,
+    which leaves no core for a second caller. On a 2-core x86-64 VM, a
+    full-size ``dialoglow train`` (60 dialogues, 2 epochs) plus ``predict`` took
+    16.6-18.6 s and 2.5-2.8 s with both directions at once on the default two
+    OpenBLAS threads, against 15.8-16.2 s and 2.0-2.4 s one after the other;
+    with one OpenBLAS thread, 14.1-16.3 s and 1.93-2.1 s at once. Pinned to
+    one CPU (taskset -c 0), both at once gave 0.91x eval throughput and 1.07x
+    predict latency in perfbench's ``dialogue`` runs (4 pairs).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return 2 * int(threads) <= cpus
+    return False
+
+
+def _both(parallel: bool, first: Callable, second: Callable):
+    """``(first(), second())``, running ``second`` on the worker thread if ``parallel``."""
+    if not parallel:
+        return first(), second()
+    later = _POOL.submit(second)
+    try:
+        done = first()
+    finally:
+        # Wait even if first() raised: the caller may go on to change the inputs.
+        other = later.result()
+    return done, other
+
+
 def bilstm_max(
     x: Tensor, lengths: Sequence[int], fwd_w: Tensor, fwd_b: Tensor, bwd_w: Tensor, bwd_b: Tensor
 ) -> Tensor:
@@ -289,6 +360,14 @@ def bilstm_max(
     a real step. Row r is the maximum over its real steps of the forward
     hidden state, then of the backward one. Of tied steps, the first in
     time takes the gradient, in both directions.
+
+    The forward direction runs on the calling thread, the backward one on
+    the worker thread at the same time, for the output and again for the
+    BPTT rule. The op stays serial on the calling thread when a direction's
+    weights hold fewer than PARALLEL_MIN_WEIGHTS entries or when twice the
+    BLAS thread count exceeds the usable CPUs: one CPU, or a BLAS thread
+    count left at its default of one per CPU. The tape record and ``dx``'s
+    sum happen on the calling thread in a fixed order either way.
     """
     _require_shape("bilstm_max", x.shape, 3)
     n, steps, d = x.shape
@@ -305,12 +384,17 @@ def bilstm_max(
     order = np.where(real, lens[:, None] - 1 - t, t)
     real = real.T[:, :, None]  # (steps, n, 1), time-major like the state
     rows = np.arange(n)
-    u_fwd, fwd_rule = _pooled_lstm(x.data.transpose(1, 0, 2), real, fwd_w.data, fwd_b.data, False)
-    u_bwd, bwd_rule = _pooled_lstm(x.data[rows, order.T], real, bwd_w.data, bwd_b.data, True)
+    parallel = fwd_w.data.size >= PARALLEL_MIN_WEIGHTS and _cores_for_both_directions()
+    (u_fwd, fwd_rule), (u_bwd, bwd_rule) = _both(
+        parallel,
+        lambda: _pooled_lstm(x.data.transpose(1, 0, 2), real, fwd_w.data, fwd_b.data, False),
+        lambda: _pooled_lstm(x.data[rows, order.T], real, bwd_w.data, bwd_b.data, True),
+    )
 
     def rule(g):
-        dx_fwd, dw_fwd, db_fwd = fwd_rule(g[:, :hid])
-        dx_bwd, dw_bwd, db_bwd = bwd_rule(g[:, hid:])
+        (dx_fwd, dw_fwd, db_fwd), (dx_bwd, dw_bwd, db_bwd) = _both(
+            parallel, lambda: fwd_rule(g[:, :hid]), lambda: bwd_rule(g[:, hid:])
+        )
         dx = dx_fwd.transpose(1, 0, 2) + dx_bwd[order, rows[:, None]]
         return dx, dw_fwd, db_fwd, dw_bwd, db_bwd
 

@@ -429,6 +429,8 @@ def split_for_training(
     split by a seeded tcfg.val_fraction, scoring on the training part when
     nothing is held out. ValueError if no training dialogue is left.
     """
+    if not ds.dialogues:
+        raise ValueError("training set holds no dialogues")
     if val_ds is None:
         train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
         if not val_ds.dialogues:

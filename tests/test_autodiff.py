@@ -1,3 +1,9 @@
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -415,3 +421,128 @@ def test_debug_finite_check_names_the_op(monkeypatch):
         monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)
         assert not np.all(np.isfinite(ad.softmax(scores).data))
 
+
+def full_size_window(seed):
+    # ModelConfig's shapes (d=300, h=256) on one ragged window of 15 utterances.
+    rng = np.random.default_rng(seed)
+    lengths = np.maximum(1, rng.poisson(11, size=15))
+    x = ad.Tensor(rng.normal(scale=0.5, size=(15, lengths.max(), 300)), requires_grad=True)
+    params = [ad.Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
+              for shape in ((1024, 556), (1024,)) * 2]
+    return x, lengths.tolist(), params, rng.normal(size=(15, 512))
+
+
+def bilstm_max_and_grads(x, lengths, params, r):
+    with ad.Tape() as tape:
+        loss = project(ad.bilstm_max(x, lengths, *params), r)
+    grads = ad.backward(tape, loss)
+    return tape._records[0][0].data, [grads[t] for t in (x, *params)]
+
+
+def directions_on_threads(monkeypatch):
+    # Each _pooled_lstm forward and BPTT run as (pass, ties_to_last, thread name);
+    # ties_to_last marks the backward direction.
+    runs, pooled = [], ad._pooled_lstm
+
+    def spy(xs, real, w, b, ties_to_last):
+        u, rule = pooled(xs, real, w, b, ties_to_last)
+
+        def spy_rule(g):
+            runs.append(("bptt", ties_to_last, threading.current_thread().name))
+            return rule(g)
+
+        runs.append(("forward", ties_to_last, threading.current_thread().name))
+        return u, spy_rule
+
+    monkeypatch.setattr(ad, "_pooled_lstm", spy)
+    return runs
+
+
+def set_cpus_and_blas_threads(monkeypatch, cpus, blas_threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+def test_bilstm_max_threaded_equals_two_serial_directions(monkeypatch):
+    set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
+    x, lengths, params, r = full_size_window(seed=5)
+    # Oracle: the two directions called one after the other on this thread.
+    n, steps, _ = x.shape
+    lens = np.asarray(lengths)
+    t = np.arange(steps)
+    real = t < lens[:, None]
+    order = np.where(real, lens[:, None] - 1 - t, t)
+    rows = np.arange(n)
+    u_fwd, fwd_rule = ad._pooled_lstm(x.data.transpose(1, 0, 2), real.T[:, :, None],
+                                      params[0].data, params[1].data, False)
+    u_bwd, bwd_rule = ad._pooled_lstm(x.data[rows, order.T], real.T[:, :, None],
+                                      params[2].data, params[3].data, True)
+    dx_fwd, dw_fwd, db_fwd = fwd_rule(r[:, :256])
+    dx_bwd, dw_bwd, db_bwd = bwd_rule(r[:, 256:])
+    want = [dx_fwd.transpose(1, 0, 2) + dx_bwd[order, rows[:, None]], dw_fwd, db_fwd, dw_bwd, db_bwd]
+
+    runs = directions_on_threads(monkeypatch)
+    u, grads = bilstm_max_and_grads(x, lengths, params, r)
+    threads = {(kind, ties_to_last): name for kind, ties_to_last, name in runs}
+    main = threading.current_thread().name
+    assert len(runs) == 4 and threads["forward", False] == threads["bptt", False] == main
+    assert threads["forward", True] == threads["bptt", True] != main
+    assert [t.name for t in threading.enumerate()].count(threads["bptt", True]) == 1
+    assert np.array_equal(u, np.concatenate([u_fwd, u_bwd], axis=1))
+    for got, expected in zip(grads, want):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "cpus, blas_threads, full_size",
+    [({0}, 1, True), ({0, 1}, None, True), ({0, 1, 2}, 2, True), ({0, 1}, 1, False)],
+    ids=["one_cpu", "default_blas_threads", "blas_threads_fill_cpus", "small"],
+)
+def test_bilstm_max_stays_serial_without_spare_cores_or_big_weights(
+    monkeypatch, cpus, blas_threads, full_size
+):
+    set_cpus_and_blas_threads(monkeypatch, cpus, blas_threads)
+    monkeypatch.setattr(ad, "_POOL", None)  # any use of the pool would raise
+    runs = directions_on_threads(monkeypatch)
+    if full_size:
+        x, lengths, params, r = full_size_window(seed=6)
+    else:
+        rng = np.random.default_rng(6)
+        x, lengths = rand(rng, 4, 5, 8), [5, 2, 1, 3]
+        params, r = [rand(rng, 64, 24), rand(rng, 64)] * 2, rng.normal(size=(4, 32))
+    assert (params[0].data.size < ad.PARALLEL_MIN_WEIGHTS) != full_size
+    bilstm_max_and_grads(x, lengths, params, r)
+    assert len(runs) == 4 and {name for *_, name in runs} == {threading.current_thread().name}
+
+
+def test_forked_child_finishes_a_threaded_bilstm_max(monkeypatch):
+    set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
+    x, lengths, params, r = full_size_window(seed=7)
+    u, grads = bilstm_max_and_grads(x, lengths, params, r)
+    parent_pool = ad._POOL
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking a process that runs threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        code = 1
+        try:
+            assert ad._POOL is not parent_pool
+            u_child, grads_child = bilstm_max_and_grads(x, lengths, params, r)
+            assert np.array_equal(u_child, u)
+            assert all(np.array_equal(a, b) for a, b in zip(grads_child, grads))
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's bilstm_max did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0

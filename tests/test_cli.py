@@ -151,6 +151,18 @@ def test_train_split_leaving_no_training_dialogue_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_empty_training_file_with_explicit_val_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    val = write_corpus(tmp_path, n=2, name="val.json")
+    out = tmp_path / "x"
+    rc = cli.main(["train", str(empty), "--val", str(val), "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "training set holds no dialogues" in err and "consumed" not in err
+    assert not out.exists()
+
+
 def test_train_inverse_frequency_weights_flag(tmp_path):
     rc, out = run_train(tmp_path, extra=["--class-weights", "inverse-frequency"])
     assert rc == 0
