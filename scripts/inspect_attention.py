@@ -20,7 +20,7 @@ from dialoglow import train as tr
 
 def attention_matrix(texts, vocab, params, cfg):
     u = m.encode_sentence([vocab.encode(pp.prepare(t)) for t in texts], params, cfg)
-    return ad.softmax(m.attention_scores(u)).data
+    return ad.attention_weights(ad.attention_scores(u.data))
 
 
 def main():
@@ -31,9 +31,9 @@ def main():
     args = ap.parse_args()
 
     if args.checkpoint:
-        ckpt = tr.load_checkpoint(args.checkpoint)
         if not args.vocab:
             ap.error("--vocab is required with --checkpoint")
+        ckpt = tr.load_checkpoint(args.checkpoint)
         vocab = pp.Vocab.load(args.vocab)
         cfg, params = tr.params_from_checkpoint(ckpt)
     else:

@@ -1,12 +1,12 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Only the operations the dialogue model records are provided; the whole
-sentence encoder is one of them, ``bilstm_max``, which runs both LSTM
-directions over a padded batch and max-pools them over time. Every op runs
-on plain numpy arrays; while a tape is open, ops that touch a
-gradient-bearing tensor append a backward rule to it, and ``backward``
-replays the tape in reverse. Creation order is already topological, so no
-sorting is needed and every rule fires at most once.
+Only the operations the dialogue model records are provided. Two are whole
+layers: ``bilstm_max`` runs both LSTM directions over a padded batch and
+max-pools them over time, and ``self_attention`` mixes a window's rows by
+scaled dot-product weights. Every op runs on plain numpy arrays; while a
+tape is open, ops that touch a gradient-bearing tensor append a backward
+rule to it, and ``backward`` replays the tape in reverse. Creation order is
+already topological, so no sorting is needed and every rule fires at most once.
 
 ``bilstm_max`` is the only op that uses a second thread. When its weights
 are large enough (PARALLEL_MIN_WEIGHTS) and the usable CPUs hold both
@@ -109,26 +109,6 @@ def _require_shape(name: str, got: tuple[int, ...], want_ndim: int) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra primitives
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _out(a.data * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for 2-d operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError(f"matmul: unsupported operand ranks, {ad.shape} vs {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul: inner dims differ, {ad.shape} vs {bd.shape}")
-    return _out(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-
-def transpose(a: Tensor) -> Tensor:
-    _require_shape("transpose", a.shape, 2)
-    return _out(a.data.T, (a,), lambda g: (g.T,))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -401,12 +381,35 @@ def bilstm_max(
     return _out(np.concatenate([u_fwd, u_bwd], axis=1), (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
 
 
-def softmax(scores: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix; each row's max is subtracted before exponentiation."""
-    _require_shape("softmax", scores.shape, 2)
-    e = np.exp(scores.data - scores.data.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    return _out(p, (scores,), lambda g: (p * (g - np.sum(g * p, axis=1, keepdims=True)),))
+def attention_scores(u: np.ndarray) -> np.ndarray:
+    """Pairwise dot products of a matrix's rows, scaled by 1/sqrt(width)."""
+    return (u @ u.T) * (1.0 / np.sqrt(u.shape[1]))
+
+
+def attention_weights(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a score matrix; each row's max is subtracted before exponentiation."""
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def self_attention(u: Tensor) -> Tensor:
+    """``p @ u`` with ``p = attention_weights(attention_scores(u))``: each row mixes all rows.
+
+    Forward and rule take the float steps of the transpose, matmul, scale,
+    softmax, matmul op chain in its order, so both equal its results bit for bit.
+    """
+    _require_shape("self_attention", u.shape, 2)
+    ud = u.data
+    p = attention_weights(attention_scores(ud))
+
+    def rule(g):
+        dp = g @ ud.T
+        ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * (1.0 / np.sqrt(ud.shape[1]))
+        # backward() sums the chain's gradients of u in this order, the last as
+        # (ud.T @ ds).T; ds.T @ ud is another BLAS call, not bound to round alike.
+        return (p.T @ g + ds @ ud + (ud.T @ ds).T,)
+
+    return _out(p @ ud, (u,), rule)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

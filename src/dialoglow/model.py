@@ -6,8 +6,8 @@ max-pooled over time into one sentence vector. A window's utterances are
 encoded in lockstep by one op, ``autodiff.bilstm_max``, which runs both
 directions and pools them. The "sa-bilstm" variant then lets every
 utterance in a window attend over all the others with scaled dot-product
-weights before a shared fully-connected stack scores the labels; the
-"bilstm" variant skips straight from sentence vector to classifier.
+weights, one ``autodiff.self_attention`` op, before a shared fully-connected
+stack scores the labels; the "bilstm" variant skips straight to the classifier.
 """
 from __future__ import annotations
 
@@ -155,21 +155,12 @@ def encode_sentence(
     return ad.bilstm_max(x, lengths, fwd.w, fwd.b, bwd.w, bwd.b)
 
 
-def attention_scores(u_mat: Tensor) -> Tensor:
-    """Pairwise dot products of sentence vectors, scaled by 1/sqrt(width)."""
-    if u_mat.ndim != 2:
-        raise ValueError(f"attention_scores: need a matrix, got shape {u_mat.shape}")
-    return ad.scale(
-        ad.matmul(u_mat, ad.transpose(u_mat)), 1.0 / math.sqrt(u_mat.shape[1])
-    )
-
-
 def self_attend(u_mat: Tensor) -> Tensor:
     """Replace each row with its attention-weighted mixture of all the rows.
 
-    Row i becomes sum_j softmax(scores_i)[j] * row_j.
+    Row i becomes sum_j softmax(scores_i)[j] * row_j, recorded as one op.
     """
-    return ad.matmul(ad.softmax(attention_scores(u_mat)), u_mat)
+    return ad.self_attention(u_mat)
 
 
 def classify(x: Tensor, params: ModelParams, dropout: "Dropout | None" = None) -> Tensor:

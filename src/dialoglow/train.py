@@ -290,11 +290,16 @@ def load_checkpoint(path) -> Checkpoint:
         # Older checkpoints also record the training dropout rate, which inference never uses.
         mc.pop("dropout_p", None)
         mc["fc_dims"] = tuple(mc["fc_dims"])
+        meta = header["metadata"]
+        emb = meta.get("embedding", {}) if isinstance(meta, dict) else None
+        oov_count = emb.get("oov_count", 0) if isinstance(emb, dict) else None
+        if type(oov_count) is not int or oov_count < 0 or not isinstance(emb.get("trainable", True), bool):
+            raise ValueError("metadata needs an 'embedding' object, a count oov_count, a bool trainable")
         ckpt = Checkpoint(
             model_config=m.ModelConfig(**mc),
             tensors=tensors,
             vocab_sha256=header["vocab_sha256"],
-            metadata=header["metadata"],
+            metadata=meta,
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint header lacks {exc}") from None
@@ -323,7 +328,7 @@ def params_from_checkpoint(ckpt: Checkpoint):
     """Rebuild (ModelConfig, ModelParams) from a loaded checkpoint."""
     cfg = ckpt.model_config
     emb_meta = ckpt.metadata.get("embedding", {})
-    trainable = bool(emb_meta.get("trainable", True))
+    trainable = emb_meta.get("trainable", True)
     shapes = m.param_shapes(cfg)
     missing = [name for name in ("embedding", *shapes) if name not in ckpt.tensors]
     if missing:
@@ -345,7 +350,7 @@ def params_from_checkpoint(ckpt: Checkpoint):
     table = EmbeddingTable(
         weights=ad.Tensor(ckpt.tensors["embedding"], requires_grad=trainable),
         dim=cfg.embed_dim,
-        oov_count=int(emb_meta.get("oov_count", 0)),
+        oov_count=emb_meta.get("oov_count", 0),
         trainable=trainable,
     )
     named = {name: ad.Tensor(ckpt.tensors[name], requires_grad=True) for name in shapes}

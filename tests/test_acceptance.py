@@ -49,11 +49,11 @@ def test_criterion_2_attention_unit_suite():
     same = ad.Tensor(np.tile(rng.normal(size=4), (5, 1)))
     assert np.allclose(m.self_attend(same).data, same.data, atol=1e-12)
 
-    u = ad.Tensor(rng.normal(size=(6, 8)))
-    scores = m.attention_scores(u).data
+    u = rng.normal(size=(6, 8))
+    scores = ad.attention_scores(u)
     assert np.array_equal(scores, scores.T)
 
-    weights = ad.softmax(m.attention_scores(u)).data
+    weights = ad.attention_weights(scores)
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
 
     cfg = m.ModelConfig(embed_dim=8, hidden_size=4, window_size=25, fc_dims=(8,),

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import threading
@@ -44,24 +45,8 @@ def rand(rng, *shape, lo=-2.0, hi=2.0, grad=True):
 def random_projection(y, rng):
     # Random linear functional of the op output; makes the test directional.
     if y.ndim == 0:
-        return ad.scale(y, float(rng.uniform(0.5, 1.5)))
+        return project(y, rng.uniform(0.5, 1.5))
     return project(y, rng.uniform(-1.0, 1.0, size=y.shape))
-
-
-def _case_scale(rng):
-    a = rand(rng, 3, 3)
-    c = float(rng.uniform(-2, 2))
-    return [a], lambda: ad.scale(a, c)
-
-
-def _case_matmul22(rng):
-    a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-    return [a, b], lambda: ad.matmul(a, b)
-
-
-def _case_transpose(rng):
-    a, b = rand(rng, 3, 2), rand(rng, 2, 3)
-    return [a, b], lambda: ad.matmul(ad.transpose(a), ad.transpose(b))
 
 
 def _case_affine2(rng):
@@ -122,9 +107,10 @@ def _case_bilstm_max(rng):
     return params, lambda: ad.bilstm_max(x, lengths, *params[1:])
 
 
-def _case_softmax(rng):
-    a = rand(rng, 3, 5)
-    return [a], lambda: ad.softmax(a)
+def _case_self_attention(rng):
+    # 1-4 rows: a one-row window is the identity, with weight exactly 1.
+    a = rand(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+    return [a], lambda: ad.self_attention(a)
 
 
 def _case_dropout_train(rng):
@@ -143,9 +129,6 @@ def _case_weighted_nll(rng):
 
 
 PRIMITIVE_CASES = [
-    _case_scale,
-    _case_matmul22,
-    _case_transpose,
     _case_affine2,
     _case_relu,
     _case_concat0,
@@ -153,7 +136,7 @@ PRIMITIVE_CASES = [
     _case_gather,
     _case_gather2d,
     _case_bilstm_max,
-    _case_softmax,
+    _case_self_attention,
     _case_dropout_train,
     _case_weighted_nll,
 ]
@@ -175,6 +158,41 @@ def test_primitive_gradient_matches_central_difference(case, seed):
         assert rel_err(got, want) < 1e-6
 
 
+def composed_self_attention(ud, g):
+    """Frozen plain-numpy copy of the five taped ops ``self_attention`` replaced.
+
+    Forward: transpose, matmul, scale, softmax, matmul. Backward: their rules
+    in reverse tape order, u's three gradients summed as ``backward`` did.
+    """
+    t = ud.T
+    c = float(1.0 / math.sqrt(ud.shape[1]))
+    scores = (ud @ t) * c
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    out = p @ ud
+    dp, du = g @ ud.T, p.T @ g  # matmul(p, u)
+    ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True))  # softmax
+    ds = ds * c  # scale
+    du, dt = du + ds @ t.T, ud.T @ ds  # matmul(u, t)
+    du = du + dt.T  # transpose
+    return out, du
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 39, 512])
+def test_self_attention_equals_the_composed_chain_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for n in range(1, 26):
+        u = ad.Tensor(rng.uniform(-1.0, 1.0, size=(n, width)), requires_grad=True)
+        g = rng.normal(size=(n, width))
+        with ad.Tape() as tape:
+            out = ad.self_attention(u)
+            loss = project(out, g)
+        assert len(tape) == 2  # the op and the projection
+        want_out, want_du = composed_self_attention(u.data, g)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(ad.backward(tape, loss)[u], want_du)
+
+
 def test_tensor_is_float64_and_scalar_item():
     t = ad.Tensor([[1, 2], [3, 4]])
     assert t.data.dtype == np.float64
@@ -189,14 +207,14 @@ def test_shape_mismatch_errors_name_both_shapes():
         ad.affine(a, b, ad.Tensor(np.zeros(4)))
     assert "(3, 4)" in str(err.value) and "(2, 4)" in str(err.value)
     with pytest.raises(ValueError) as err:
-        ad.matmul(a, ad.Tensor(np.zeros((5, 2))))
+        ad.affine(ad.Tensor(np.zeros((2, 3))), a, ad.Tensor(np.zeros((5, 2))))
     assert "(3, 4)" in str(err.value) and "(5, 2)" in str(err.value)
 
 
 def test_backward_requires_scalar_loss_on_tape():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.scale(x, 2.0)
+        y = ad.relu(x)
     with pytest.raises(ValueError):
         ad.backward(tape, y)
     off_tape = ad.Tensor(0.0)
@@ -205,8 +223,9 @@ def test_backward_requires_scalar_loss_on_tape():
 
 
 def test_fanout_gradients_accumulate():
-    x = ad.Tensor([[1.0, -2.0, 0.5]], requires_grad=True)
-    square = lambda: ad.matmul(x, ad.transpose(x))  # (1, 1): the sum of squares
+    x = ad.Tensor([[-2.0]], requires_grad=True)
+    zero = ad.Tensor([0.0])
+    square = lambda: ad.affine(x, x, zero)  # x is the input and the weight: x**2
     with ad.Tape() as tape:
         s = square()
         loss = project(ad.concat([s, s]), np.ones((2, 1)))
@@ -269,8 +288,8 @@ def test_max_over_time_rejects_empty_span():
 
 
 def test_softmax_known_values():
-    out = ad.softmax(ad.Tensor([[0.0, np.log(2.0)]]))
-    assert np.allclose(out.data, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
+    out = ad.attention_weights(np.array([[0.0, np.log(2.0)]]))
+    assert np.allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,8 +300,8 @@ def test_softmax_known_values():
 def test_softmax_shift_invariant(seed, shift):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(-5, 5, size=(3, 7))
-    base = ad.softmax(ad.Tensor(scores)).data
-    moved = ad.softmax(ad.Tensor(scores + shift)).data
+    base = ad.attention_weights(scores)
+    moved = ad.attention_weights(scores + shift)
     assert np.allclose(base, moved, atol=1e-12)
 
 
@@ -327,7 +346,8 @@ def test_grad_check_accepts_smooth_function():
     w = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     x = ad.Tensor(rng.normal(size=(3, 2)))
     r = rng.normal(size=(3, 2))
-    f = lambda: project(ad.softmax(ad.matmul(w, x)), r)
+    zero = ad.Tensor(np.zeros(2))
+    f = lambda: project(ad.self_attention(ad.affine(w, x, zero)), r)
     assert ad.grad_check(f, [w]) < 1e-6
 
 
@@ -406,11 +426,11 @@ def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
 
 
 def test_debug_finite_check_names_the_op(monkeypatch):
-    scores = ad.Tensor([[np.inf, 0.0], [1.0, 2.0]])  # inf - inf makes a NaN in row 0
+    u = ad.Tensor([[np.inf, 0.0], [1.0, 2.0]])  # row 0 scores inf twice; inf - inf is NaN
     monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", True)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="^softmax produced a non-finite value"):
-            ad.softmax(scores)
+        with pytest.raises(FloatingPointError, match="^self_attention produced a non-finite value"):
+            ad.self_attention(u)
         # The encoder is one op: a NaN anywhere in a row's input makes its vector NaN.
         x = np.zeros((2, 3, 2))
         x[1, 0, 1] = np.nan
@@ -419,7 +439,7 @@ def test_debug_finite_check_names_the_op(monkeypatch):
         with pytest.raises(FloatingPointError, match="^bilstm_max produced a non-finite value"):
             ad.bilstm_max(ad.Tensor(x), [3, 2], w, b, w, b)
         monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)
-        assert not np.all(np.isfinite(ad.softmax(scores).data))
+        assert not np.all(np.isfinite(ad.self_attention(u).data))
 
 
 def full_size_window(seed):

@@ -148,17 +148,16 @@ def test_forward_window_tape_length_does_not_grow_with_tokens():
 
 
 def test_attention_scores_all_ones_width_four_gives_two():
-    u = ad.Tensor(np.ones((2, 4)))
-    f = m.attention_scores(u)
-    assert np.array_equal(f.data, np.full((2, 2), 2.0))
+    f = ad.attention_scores(np.ones((2, 4)))
+    assert np.array_equal(f, np.full((2, 2), 2.0))
 
 
 def test_attention_scores_symmetric_and_quadratic_in_scale():
     rng = np.random.default_rng(5)
-    u = ad.Tensor(rng.normal(size=(6, 8)))
-    f = m.attention_scores(u).data
+    u = rng.normal(size=(6, 8))
+    f = ad.attention_scores(u)
     assert np.array_equal(f, f.T)
-    f2 = m.attention_scores(ad.scale(u, 2.0)).data
+    f2 = ad.attention_scores(2.0 * u)
     assert np.allclose(f2, 4.0 * f, atol=1e-12)
 
 
@@ -167,6 +166,13 @@ def test_self_attend_single_utterance_is_identity():
     u = ad.Tensor(rng.normal(size=(1, 6)))
     out = m.self_attend(u)
     assert np.array_equal(out.data, u.data)
+
+
+def test_self_attend_records_one_op():
+    u = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)), requires_grad=True)
+    with ad.Tape() as tape:
+        m.self_attend(u)
+    assert len(tape) == 1
 
 
 def test_self_attend_identical_rows_are_fixed_point():
@@ -178,9 +184,9 @@ def test_self_attend_identical_rows_are_fixed_point():
 
 def test_self_attend_hand_derived_two_by_two():
     u = ad.Tensor([[2.0, 0.0], [0.0, 1.0]])
-    f = m.attention_scores(u)
+    f = ad.attention_scores(u.data)
     root2 = math.sqrt(2.0)
-    assert np.allclose(f.data, np.array([[4.0, 0.0], [0.0, 1.0]]) / root2, atol=1e-15)
+    assert np.allclose(f, np.array([[4.0, 0.0], [0.0, 1.0]]) / root2, atol=1e-15)
     out = m.self_attend(u).data
     alpha = math.exp(4.0 / root2) / (math.exp(4.0 / root2) + 1.0)
     assert np.allclose(out[0], [2.0 * alpha, 1.0 - alpha], atol=1e-12)
@@ -193,8 +199,8 @@ def test_self_attend_hand_derived_two_by_two():
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12))
 def test_attention_weights_row_stochastic_property(seed, n):
     rng = np.random.default_rng(seed)
-    u = ad.Tensor(rng.uniform(-3, 3, size=(n, 4)))
-    w = ad.softmax(m.attention_scores(u)).data
+    u = rng.uniform(-3, 3, size=(n, 4))
+    w = ad.attention_weights(ad.attention_scores(u))
     assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
 
 

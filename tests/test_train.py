@@ -441,8 +441,20 @@ def test_checkpoint_label_count_from_older_headers_must_be_eight(tmp_path):
         lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 8),
         lambda h: h["tensors"][0].update(shape=[10**6, 8]),
         lambda h: h.pop("tensors"),
+        lambda h: h.update(metadata=[]),
+        lambda h: h["metadata"].update(embedding=[]),
+        lambda h: h["metadata"]["embedding"].update(oov_count="x"),
+        lambda h: h["metadata"]["embedding"].update(trainable="false"),
     ],
-    ids=["offset-past-payload", "shape-past-payload", "no-tensor-directory"],
+    ids=[
+        "offset-past-payload",
+        "shape-past-payload",
+        "no-tensor-directory",
+        "metadata-not-an-object",
+        "embedding-metadata-not-an-object",
+        "oov-count-not-a-count",
+        "trainable-not-a-bool",
+    ],
 )
 def test_checksum_valid_malformed_checkpoint_fails_as_input_error(tmp_path, capsys, edit):
     _, path, vocab, *_ = saved_checkpoint(tmp_path)
