@@ -8,7 +8,9 @@ length, on the pair's own seed (1, 2, ...), so the two sides of a pair do
 the same work. The side that goes first alternates from pair to pair, so a
 drift in the machine's speed lands on both sides. The output holds every
 run's final JSON line with the run length perfbench reported and, per
-workload and metric, both sides' medians, the median of the per-pair ratios
+workload, each side's count of failed operations and, per metric, both
+sides' medians, the parent's quartiles and their spread relative to its
+median (comparable to the metric's bound), the median of the per-pair ratios
 (change / parent) and how many pairs the change won, judged by the metrics'
 `better` fields in that file.
 """
@@ -39,24 +41,38 @@ def run_perfbench(checkout: Path, workload: str, seed: int) -> tuple[dict, float
     return json.loads(lines[-1]), float(header[1])
 
 
+def quartiles(values: list) -> tuple[float, float]:
+    """First and third quartile (statistics.quantiles' default method); one value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median, the median pair ratio and the change's wins."""
+    """Each side's failed operations, and per metric: each side's median, the
+    parent's quartiles and their spread relative to its median (as the
+    metrics' bounds are), the median pair ratio and the change's wins."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
-    summary = {}
+    metrics = {}
     for name, first in pairs[1]["parent"].items():
         parent = [p["parent"][name]["value"] for p in pairs.values()]
         change = [p["change"][name]["value"] for p in pairs.values()]
+        q1, q3 = quartiles(parent)
         row = {"unit": first["unit"], "parent": statistics.median(parent),
-               "change": statistics.median(change)}
+               "change": statistics.median(change), "parent_quartiles": [q1, q3]}
+        if row["parent"]:
+            row["parent_spread"] = (q3 - q1) / abs(row["parent"])
         if all(parent):
             row["ratio"] = statistics.median(c / p for p, c in zip(parent, change))
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             row["change_better_pairs"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        summary[name] = row
-    return summary
+        metrics[name] = row
+    failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side) for side in SIDES}
+    return {"failed": failed, "metrics": metrics}
 
 
 def main():
@@ -91,10 +107,14 @@ def main():
         report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, body in report["workloads"].items():
-        for name, row in body["summary"].items():
+        summary = body["summary"]
+        print(f"{workload:9s} failed operations: parent {summary['failed']['parent']}, "
+              f"change {summary['failed']['change']}")
+        for name, row in summary["metrics"].items():
             print(f"{workload:9s} {name:22s} {row['parent']:>10.4g} -> {row['change']:>10.4g} "
                   f"{row['unit']:6s} ratio {row.get('ratio', float('nan')):.3f} "
-                  f"wins {row.get('change_better_pairs', '-')}/{args.pairs}")
+                  f"wins {row.get('change_better_pairs', '-')}/{args.pairs} "
+                  f"parent spread {row.get('parent_spread', float('nan')):.3f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Only the operations the dialogue model records are provided. Two are whole
-layers: ``bilstm_max`` runs both LSTM directions over a padded batch and
-max-pools them over time, and ``self_attention`` mixes a window's rows by
+layers: ``bilstm_max`` runs both LSTM directions along a padded batch's time
+axis and max-pools them, and ``self_attention`` mixes a window's rows by
 scaled dot-product weights. Every op runs on plain numpy arrays; while a
 tape is open, ops that touch a gradient-bearing tensor append a backward
 rule to it, and ``backward`` replays the tape in reverse. Creation order is
@@ -209,61 +209,64 @@ def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
 # model-specific primitives
 
 
-def _pooled_lstm(
-    xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray, ties_to_last: bool
-):
+def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
     """One LSTM direction over time-major inputs, max-pooled over each row's real steps.
 
     ``xs`` is (steps, n, d) and ``real`` (steps, n, 1) marks each row's real
-    steps, which come first. A row's state changes only at its real steps.
-    Returns the (n, h) maximum of the hidden state over those steps and the
+    steps, which come first; every array is indexed by time. A row's state
+    changes only at its real steps, so ``reverse``, walking from the last
+    step down, keeps the zero start state through a row's trailing padding.
+    Returns the (n, h) maximum of the hidden state over the real steps and the
     BPTT rule mapping its gradient to (d xs, d w, d b). Of tied steps, the
-    first read takes the gradient, or the last if ``ties_to_last``. The
-    input projection of all steps is one GEMM, and so is the weight gradient.
+    first in time takes the gradient. The input projection of all steps is one
+    GEMM, and so is the weight gradient.
     """
     steps, n, d = xs.shape
     hid = b.shape[0] // 4
     w_x, w_h = w[:, :d], w[:, d:]
     pre = (xs.reshape(-1, d) @ w_x.T + b).reshape(steps, n, 4 * hid)
     acts = np.empty_like(pre)  # gate activations i, f, g, o
-    cells = np.zeros((steps + 1, n, hid))  # cells[s], hs[s]: state entering step s
+    cells = np.zeros((steps + 1, n, hid))
     hs = np.zeros((steps + 1, n, hid))
+    # [s] of the *_in views is the state entering step s, of the *_out views the one it leaves.
+    c_in, c_out = (cells[1:], cells[:-1]) if reverse else (cells[:-1], cells[1:])
+    h_in, h_out = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
     tanh_c = np.empty((steps, n, hid))
-    for s in range(steps):
-        z = pre[s] + hs[s] @ w_h.T
+    for s in reversed(range(steps)) if reverse else range(steps):
+        z = pre[s] + h_in[s] @ w_h.T
         a = acts[s]
         a[:] = expit(z)
         a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
         i, f, g, o = np.split(a, 4, axis=1)
-        c = f * cells[s] + i * g
+        c = f * c_in[s] + i * g
         tanh_c[s] = np.tanh(c)
-        cells[s + 1] = np.where(real[s], c, cells[s])
-        hs[s + 1] = np.where(real[s], o * tanh_c[s], hs[s])
-    masked = np.where(real, hs[1:], -np.inf)
-    arg = np.argmax(masked[::-1] if ties_to_last else masked, axis=0)
-    arg = (steps - 1 - arg if ties_to_last else arg)[None]  # (1, n, h)
+        c_out[s] = np.where(real[s], c, c_in[s])
+        h_out[s] = np.where(real[s], o * tanh_c[s], h_in[s])
+    arg = np.argmax(np.where(real, h_out, -np.inf), axis=0)[None]  # (1, n, h)
 
     def rule(gu):
         dh_out = np.zeros((steps, n, hid))
         np.put_along_axis(dh_out, arg, gu[None], axis=0)
         d_pre = np.empty_like(pre)
         dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
-        for s in reversed(range(steps)):
+        # At a padding step the state only passes through, and what passes
+        # reaches nothing but a start state, so the gradient stops there.
+        for s in range(steps) if reverse else reversed(range(steps)):
             i, f, g, o = np.split(acts[s], 4, axis=1)
-            dh = dh + dh_out[s]
-            dc = dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
+            dh = np.where(real[s], dh + dh_out[s], 0.0)
+            dc = np.where(real[s], dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s]), 0.0)
             da = d_pre[s]
             da[:, :hid] = dc * g * i * (1.0 - i)
-            da[:, hid : 2 * hid] = dc * cells[s] * f * (1.0 - f)
+            da[:, hid : 2 * hid] = dc * c_in[s] * f * (1.0 - f)
             da[:, 2 * hid : 3 * hid] = dc * i * (1.0 - g * g)
             da[:, 3 * hid :] = dh * tanh_c[s] * o * (1.0 - o)
             dh = da @ w_h
             dc = dc * f
         dz = d_pre.reshape(-1, 4 * hid)
-        inputs = np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, d + hid)
+        inputs = np.concatenate([xs, h_in], axis=2).reshape(-1, d + hid)
         return (dz @ w_x).reshape(steps, n, d), dz.T @ inputs, dz.sum(axis=0)
 
-    return np.take_along_axis(hs[1:], arg, axis=0)[0], rule
+    return np.take_along_axis(h_out, arg, axis=0)[0], rule
 
 
 # The directions overlap only while numpy runs without the GIL, mostly in each
@@ -335,11 +338,12 @@ def bilstm_max(
     ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
     by padding. Each direction's ``w`` is (4h, d + h) acting on [x_t, h_prev]
     and its ``b`` is (4h,), gates stacked input, forget, cell, output; no
-    peepholes. The forward direction reads each row from its first step,
-    the backward one from its own last real step, so padding never enters
-    a real step. Row r is the maximum over its real steps of the forward
-    hidden state, then of the backward one. Of tied steps, the first in
-    time takes the gradient, in both directions.
+    peepholes. Both directions read one time-major view of ``x``: the
+    forward one from the first step up, the backward one from the last step
+    down, holding its zero start state through a row's trailing padding, so
+    padding never enters a real step. Row r is the maximum over its real
+    steps of the forward hidden state, then of the backward one. Of tied
+    steps, the first in time takes the gradient, in both directions.
 
     The forward direction runs on the calling thread, the backward one on
     the worker thread at the same time, for the output and again for the
@@ -358,25 +362,20 @@ def bilstm_max(
     lens = np.asarray(lengths, dtype=np.intp)
     if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
         raise ValueError(f"bilstm_max: need {n} lengths in [1, {steps}], got {lengths!r}")
-    t = np.arange(steps)
-    real = t < lens[:, None]
-    # order[r, s]: the step row r reads at lockstep s going backward. It is its own inverse.
-    order = np.where(real, lens[:, None] - 1 - t, t)
-    real = real.T[:, :, None]  # (steps, n, 1), time-major like the state
-    rows = np.arange(n)
+    real = (np.arange(steps)[:, None] < lens)[:, :, None]  # (steps, n, 1), time-major
+    xs = x.data.transpose(1, 0, 2)
     parallel = fwd_w.data.size >= PARALLEL_MIN_WEIGHTS and _cores_for_both_directions()
     (u_fwd, fwd_rule), (u_bwd, bwd_rule) = _both(
         parallel,
-        lambda: _pooled_lstm(x.data.transpose(1, 0, 2), real, fwd_w.data, fwd_b.data, False),
-        lambda: _pooled_lstm(x.data[rows, order.T], real, bwd_w.data, bwd_b.data, True),
+        lambda: _pooled_lstm(xs, real, fwd_w.data, fwd_b.data, False),
+        lambda: _pooled_lstm(xs, real, bwd_w.data, bwd_b.data, True),
     )
 
     def rule(g):
         (dx_fwd, dw_fwd, db_fwd), (dx_bwd, dw_bwd, db_bwd) = _both(
             parallel, lambda: fwd_rule(g[:, :hid]), lambda: bwd_rule(g[:, hid:])
         )
-        dx = dx_fwd.transpose(1, 0, 2) + dx_bwd[order, rows[:, None]]
-        return dx, dw_fwd, db_fwd, dw_bwd, db_bwd
+        return (dx_fwd + dx_bwd).transpose(1, 0, 2), dw_fwd, db_fwd, dw_bwd, db_bwd
 
     return _out(np.concatenate([u_fwd, u_bwd], axis=1), (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
 

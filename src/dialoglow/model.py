@@ -12,7 +12,7 @@ stack scores the labels; the "bilstm" variant skips straight to the classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,14 +52,6 @@ class ModelConfig:
         return 2 * self.hidden_size
 
 
-@dataclass
-class LstmDirection:
-    """One direction's gate parameters, input/forget/cell/output stacked."""
-
-    w: Tensor  # (4*hidden, embed_dim + hidden)
-    b: Tensor  # (4*hidden,)
-
-
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter tensor but the embedding, by name, in a fixed order."""
     l, d = cfg.hidden_size, cfg.embed_dim
@@ -76,12 +68,10 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ModelParams:
+    """Embedding table plus every other parameter tensor, keyed and ordered by ``param_shapes``."""
+
     embedding: EmbeddingTable
-    lstm_fwd: LstmDirection
-    lstm_bwd: LstmDirection
-    fc: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    out_w: Tensor = None
-    out_b: Tensor = None
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, cfg: ModelConfig, embedding: EmbeddingTable, seed: int) -> "ModelParams":
@@ -101,37 +91,17 @@ class ModelParams:
                 named[name] = Tensor(np.zeros(shape), requires_grad=True)
                 if name.startswith("lstm"):
                     named[name].data[l : 2 * l] = 1.0
-        return cls.from_named(cfg, embedding, named)
+        return cls(embedding, named)
 
-    @classmethod
-    def from_named(
-        cls, cfg: ModelConfig, embedding: EmbeddingTable, named: dict[str, Tensor]
-    ) -> "ModelParams":
-        """Assemble from tensors keyed as in ``param_shapes(cfg)``."""
-        return cls(
-            embedding=embedding,
-            lstm_fwd=LstmDirection(w=named["lstm_fwd.w"], b=named["lstm_fwd.b"]),
-            lstm_bwd=LstmDirection(w=named["lstm_bwd.w"], b=named["lstm_bwd.b"]),
-            fc=[(named[f"fc{i}.w"], named[f"fc{i}.b"]) for i in range(len(cfg.fc_dims))],
-            out_w=named["out.w"],
-            out_b=named["out.b"],
-        )
+    @property
+    def out_b(self) -> Tensor:
+        # The benchmark's worker (perfbench/worker.py) re-centres the output
+        # bias of a fresh model through this name before it saves a checkpoint.
+        return self.tensors["out.b"]
 
     def named_tensors(self) -> dict[str, Tensor]:
         """Every parameter tensor, embedding included, in a fixed order."""
-        named = {
-            "embedding": self.embedding.weights,
-            "lstm_fwd.w": self.lstm_fwd.w,
-            "lstm_fwd.b": self.lstm_fwd.b,
-            "lstm_bwd.w": self.lstm_bwd.w,
-            "lstm_bwd.b": self.lstm_bwd.b,
-        }
-        for i, (w, b) in enumerate(self.fc):
-            named[f"fc{i}.w"] = w
-            named[f"fc{i}.b"] = b
-        named["out.w"] = self.out_w
-        named["out.b"] = self.out_b
-        return named
+        return {"embedding": self.embedding.weights, **self.tensors}
 
     def trainable_tensors(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
@@ -151,8 +121,9 @@ def encode_sentence(
     for row, ids in zip(padded, token_ids):
         row[: len(ids)] = ids
     x = params.embedding.lookup(padded)
-    fwd, bwd = params.lstm_fwd, params.lstm_bwd
-    return ad.bilstm_max(x, lengths, fwd.w, fwd.b, bwd.w, bwd.b)
+    t = params.tensors
+    lstm = (t["lstm_fwd.w"], t["lstm_fwd.b"], t["lstm_bwd.w"], t["lstm_bwd.b"])
+    return ad.bilstm_max(x, lengths, *lstm)
 
 
 def self_attend(u_mat: Tensor) -> Tensor:
@@ -167,11 +138,14 @@ def classify(x: Tensor, params: ModelParams, dropout: "Dropout | None" = None) -
     """Shared per-row scorer: hidden affine+relu(+dropout) stack, raw logits out."""
     if x.ndim != 2:
         raise ValueError(f"classify: need a matrix of row vectors, got {x.shape}")
-    for w, b in params.fc:
-        x = ad.relu(ad.affine(x, w, b))
+    t = params.tensors
+    layer = 0
+    while f"fc{layer}.w" in t:
+        x = ad.relu(ad.affine(x, t[f"fc{layer}.w"], t[f"fc{layer}.b"]))
         if dropout is not None:
             x = ad.dropout(x, *dropout)
-    return ad.affine(x, params.out_w, params.out_b)
+        layer += 1
+    return ad.affine(x, t["out.w"], t["out.b"])
 
 
 def forward_window(

@@ -290,6 +290,8 @@ def load_checkpoint(path) -> Checkpoint:
         # Older checkpoints also record the training dropout rate, which inference never uses.
         mc.pop("dropout_p", None)
         mc["fc_dims"] = tuple(mc["fc_dims"])
+        if not isinstance(header["vocab_sha256"], str):
+            raise ValueError(f"vocab_sha256 must be a string, got {header['vocab_sha256']!r}")
         meta = header["metadata"]
         emb = meta.get("embedding", {}) if isinstance(meta, dict) else None
         oov_count = emb.get("oov_count", 0) if isinstance(emb, dict) else None
@@ -354,7 +356,7 @@ def params_from_checkpoint(ckpt: Checkpoint):
         trainable=trainable,
     )
     named = {name: ad.Tensor(ckpt.tensors[name], requires_grad=True) for name in shapes}
-    return cfg, m.ModelParams.from_named(cfg, table, named)
+    return cfg, m.ModelParams(table, named)
 
 
 # ---------------------------------------------------------------------------

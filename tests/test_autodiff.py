@@ -460,18 +460,18 @@ def bilstm_max_and_grads(x, lengths, params, r):
 
 
 def directions_on_threads(monkeypatch):
-    # Each _pooled_lstm forward and BPTT run as (pass, ties_to_last, thread name);
-    # ties_to_last marks the backward direction.
+    # Each _pooled_lstm forward and BPTT run as (pass, reverse, thread name);
+    # reverse marks the backward direction.
     runs, pooled = [], ad._pooled_lstm
 
-    def spy(xs, real, w, b, ties_to_last):
-        u, rule = pooled(xs, real, w, b, ties_to_last)
+    def spy(xs, real, w, b, reverse):
+        u, rule = pooled(xs, real, w, b, reverse)
 
         def spy_rule(g):
-            runs.append(("bptt", ties_to_last, threading.current_thread().name))
+            runs.append(("bptt", reverse, threading.current_thread().name))
             return rule(g)
 
-        runs.append(("forward", ties_to_last, threading.current_thread().name))
+        runs.append(("forward", reverse, threading.current_thread().name))
         return u, spy_rule
 
     monkeypatch.setattr(ad, "_pooled_lstm", spy)
@@ -491,23 +491,17 @@ def test_bilstm_max_threaded_equals_two_serial_directions(monkeypatch):
     set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
     x, lengths, params, r = full_size_window(seed=5)
     # Oracle: the two directions called one after the other on this thread.
-    n, steps, _ = x.shape
-    lens = np.asarray(lengths)
-    t = np.arange(steps)
-    real = t < lens[:, None]
-    order = np.where(real, lens[:, None] - 1 - t, t)
-    rows = np.arange(n)
-    u_fwd, fwd_rule = ad._pooled_lstm(x.data.transpose(1, 0, 2), real.T[:, :, None],
-                                      params[0].data, params[1].data, False)
-    u_bwd, bwd_rule = ad._pooled_lstm(x.data[rows, order.T], real.T[:, :, None],
-                                      params[2].data, params[3].data, True)
+    xs = x.data.transpose(1, 0, 2)
+    real = (np.arange(x.shape[1])[:, None] < np.asarray(lengths))[:, :, None]
+    u_fwd, fwd_rule = ad._pooled_lstm(xs, real, params[0].data, params[1].data, False)
+    u_bwd, bwd_rule = ad._pooled_lstm(xs, real, params[2].data, params[3].data, True)
     dx_fwd, dw_fwd, db_fwd = fwd_rule(r[:, :256])
     dx_bwd, dw_bwd, db_bwd = bwd_rule(r[:, 256:])
-    want = [dx_fwd.transpose(1, 0, 2) + dx_bwd[order, rows[:, None]], dw_fwd, db_fwd, dw_bwd, db_bwd]
+    want = [(dx_fwd + dx_bwd).transpose(1, 0, 2), dw_fwd, db_fwd, dw_bwd, db_bwd]
 
     runs = directions_on_threads(monkeypatch)
     u, grads = bilstm_max_and_grads(x, lengths, params, r)
-    threads = {(kind, ties_to_last): name for kind, ties_to_last, name in runs}
+    threads = {(kind, reverse): name for kind, reverse, name in runs}
     main = threading.current_thread().name
     assert len(runs) == 4 and threads["forward", False] == threads["bptt", False] == main
     assert threads["forward", True] == threads["bptt", True] != main

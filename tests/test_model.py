@@ -45,20 +45,25 @@ def test_config_sentence_dim_tracks_hidden_size():
 def test_init_forget_bias_one_and_xavier_bounds():
     cfg, _, params = tiny_setup(seed=3)
     l, d = cfg.hidden_size, cfg.embed_dim
-    for direction in (params.lstm_fwd, params.lstm_bwd):
-        b = direction.b.data
+    for direction in ("lstm_fwd", "lstm_bwd"):
+        w, b = params.tensors[f"{direction}.w"], params.tensors[f"{direction}.b"].data
         assert np.array_equal(b[l : 2 * l], np.ones(l))
         assert np.array_equal(np.delete(b, slice(l, 2 * l)), np.zeros(3 * l))
         bound = math.sqrt(6.0 / (d + l + 4 * l))
-        assert direction.w.shape == (4 * l, d + l)
-        assert np.all(np.abs(direction.w.data) <= bound)
-    assert np.array_equal(params.out_b.data, np.zeros(len(LABEL_ORDER)))
+        assert w.shape == (4 * l, d + l)
+        assert np.all(np.abs(w.data) <= bound)
+    assert np.array_equal(params.tensors["out.b"].data, np.zeros(len(LABEL_ORDER)))
     _, _, again = tiny_setup(seed=3)
-    assert np.array_equal(params.lstm_fwd.w.data, again.lstm_fwd.w.data)
+    assert np.array_equal(params.tensors["lstm_fwd.w"].data, again.tensors["lstm_fwd.w"].data)
 
 
-def test_named_tensors_cover_all_parameters():
-    cfg, _, params = tiny_setup()
+@pytest.mark.parametrize(
+    "fc_dims, hidden",
+    [((), []), ((4,), ["fc0"]), ((4, 4), ["fc0", "fc1"])],
+    ids=["no-hidden", "one-hidden", "two-hidden"],
+)
+def test_named_tensors_cover_all_parameters(fc_dims, hidden):
+    cfg, vocab, params = tiny_setup(fc_dims=fc_dims)
     names = list(params.named_tensors())
     assert names == [
         "embedding",
@@ -66,11 +71,18 @@ def test_named_tensors_cover_all_parameters():
         "lstm_fwd.b",
         "lstm_bwd.w",
         "lstm_bwd.b",
-        "fc0.w",
-        "fc0.b",
+        *(f"{layer}.{p}" for layer in hidden for p in "wb"),
         "out.w",
         "out.b",
     ]
+    assert names == ["embedding", *m.param_shapes(cfg)]
+    # classify walks every hidden layer: each trainable tensor gets a gradient.
+    with ad.Tape() as tape:
+        logits = m.forward_window(window_ids(vocab, ["aa bb", "cc"]), params, cfg)
+        loss = ad.weighted_nll(logits, [0, 1], [1.0, 1.0])
+    grads = ad.backward(tape, loss)
+    for name, t in params.trainable_tensors().items():
+        assert t in grads and np.any(np.asarray(grads[t]) != 0.0), name
     frozen = emb.random_table(pp.build_vocab([["aa"]]), cfg.embed_dim, 0, trainable=False)
     p2 = m.ModelParams.init(cfg, frozen, seed=0)
     assert "embedding" not in p2.trainable_tensors()
@@ -103,20 +115,17 @@ def test_lstm_with_zero_weights_runs_each_row_from_its_own_start():
 def test_lstm_three_chained_steps_gradient_matches_fd():
     rng = np.random.default_rng(7)
     l, d = 3, 4
-    fwd, bwd = (
-        m.LstmDirection(
-            w=ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
-            b=ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True),
-        )
-        for _ in range(2)
-    )
+    directions = []  # forward w, b, then backward w, b
+    for _ in range(2):
+        directions += [ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
+                       ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True)]
     x = ad.Tensor(rng.uniform(-1, 1, (1, 3, d)), requires_grad=True)
     r = rng.uniform(-1, 1, (1, 2 * l))
 
     def f():
-        return project(ad.bilstm_max(x, [3], fwd.w, fwd.b, bwd.w, bwd.b), r)
+        return project(ad.bilstm_max(x, [3], *directions), r)
 
-    assert ad.grad_check(f, [x, fwd.w, fwd.b, bwd.w, bwd.b]) < 1e-5
+    assert ad.grad_check(f, [x, *directions]) < 1e-5
 
 
 def test_encode_sentence_ignores_trailing_padding_ids():
@@ -215,8 +224,8 @@ def forward_padded(ids, params, steps, dropout=None):
     for row, real in zip(padded, ids):
         row[: len(real)] = real
     x = params.embedding.lookup(padded)
-    fwd, bwd = params.lstm_fwd, params.lstm_bwd
-    u = m.self_attend(ad.bilstm_max(x, lengths, fwd.w, fwd.b, bwd.w, bwd.b))
+    lstm = [params.tensors[f"lstm_{d}.{p}"] for d in ("fwd", "bwd") for p in "wb"]
+    u = m.self_attend(ad.bilstm_max(x, lengths, *lstm))
     if dropout is not None:
         u = ad.dropout(u, *dropout)
     return m.classify(u, params, dropout)

@@ -445,6 +445,7 @@ def test_checkpoint_label_count_from_older_headers_must_be_eight(tmp_path):
         lambda h: h["metadata"].update(embedding=[]),
         lambda h: h["metadata"]["embedding"].update(oov_count="x"),
         lambda h: h["metadata"]["embedding"].update(trainable="false"),
+        lambda h: h.update(vocab_sha256=5),
     ],
     ids=[
         "offset-past-payload",
@@ -454,6 +455,7 @@ def test_checkpoint_label_count_from_older_headers_must_be_eight(tmp_path):
         "embedding-metadata-not-an-object",
         "oov-count-not-a-count",
         "trainable-not-a-bool",
+        "vocab-hash-not-a-string",
     ],
 )
 def test_checksum_valid_malformed_checkpoint_fails_as_input_error(tmp_path, capsys, edit):
