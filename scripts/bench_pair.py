@@ -7,9 +7,12 @@ For every workload that CHANGE_DIR/BENCHMARK.json declares, each pair runs
 length, on the pair's own seed (1, 2, ...), so the two sides of a pair do
 the same work. The side that goes first alternates from pair to pair, so a
 drift in the machine's speed lands on both sides. The output holds every
-run's final JSON line with the run length perfbench reported and, per
-workload, each side's count of failed operations and, per metric, both
-sides' medians, the parent's quartiles and their spread relative to its
+run's final JSON line with the run length perfbench reported, the CPU
+seconds its processes used and the machine's CPU steal share over it and,
+per workload, each side's count of failed operations, each side's median
+CPU seconds per attempted operation and their median pair ratio (these
+show whether the machine or the code moved) and, per metric, both sides'
+medians, the parent's quartiles and their spread relative to its
 median (comparable to the metric's bound), the median of the per-pair ratios
 (change / parent) and how many pairs the change won, judged by the metrics'
 `better` fields in that file.
@@ -20,6 +23,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -29,16 +33,45 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int) -> tuple[dict, float]:
-    """The run's final JSON line and the run length its header reports."""
+def cpu_ticks():
+    """(steal, total) ticks of all CPUs since boot, from /proc/stat; None if unreadable."""
+    try:
+        with open("/proc/stat") as fh:
+            ticks = [int(v) for v in fh.readline().split()[1:9]]
+        return ticks[7], sum(ticks)  # user nice system idle iowait irq softirq steal
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def steal_share(before, after):
+    """The share of CPU ticks stolen between two cpu_ticks() readings, or None."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
+def children_cpu_s() -> float:
+    """User + sys seconds of every finished child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    """The run's final JSON line ("result"), the run length its header reports
+    ("seconds"), the CPU seconds of perfbench and the workers it waits for
+    ("cpu_s") and the machine's steal share over the run ("steal_share")."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
+    cpu_before, ticks_before = children_cpu_s(), cpu_ticks()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    cpu_s, ticks_after = children_cpu_s() - cpu_before, cpu_ticks()
     lines = done.stdout.strip().splitlines()
     header = re.search(r"^workload \S+ seed \S+ seconds (\S+)", done.stdout, re.MULTILINE)
     if done.returncode != 0 or not lines or not header:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(lines[-1]), float(header[1])
+    return {"seconds": float(header[1]), "cpu_s": cpu_s,
+            "steal_share": steal_share(ticks_before, ticks_after),
+            "result": json.loads(lines[-1])}
 
 
 def quartiles(values: list) -> tuple[float, float]:
@@ -50,12 +83,15 @@ def quartiles(values: list) -> tuple[float, float]:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Each side's failed operations, and per metric: each side's median, the
-    parent's quartiles and their spread relative to its median (as the
-    metrics' bounds are), the median pair ratio and the change's wins."""
-    pairs = {}
+    """Each side's failed operations, each side's median CPU seconds per
+    attempted operation and their median pair ratio, and per metric: each
+    side's median, the parent's quartiles and their spread relative to its
+    median (as the metrics' bounds are), the median pair ratio and the
+    change's wins."""
+    pairs, cpu = {}, {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        cpu.setdefault(run["pair"], {})[run["side"]] = run["cpu_s"] / run["result"]["attempted"]
     metrics = {}
     for name, first in pairs[1]["parent"].items():
         parent = [p["parent"][name]["value"] for p in pairs.values()]
@@ -72,7 +108,9 @@ def summarize(runs: list, better: dict) -> dict:
             row["change_better_pairs"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         metrics[name] = row
     failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side) for side in SIDES}
-    return {"failed": failed, "metrics": metrics}
+    cpu_per_op = {side: statistics.median(p[side] for p in cpu.values()) for side in SIDES}
+    cpu_per_op["ratio"] = statistics.median(p["change"] / p["parent"] for p in cpu.values())
+    return {"failed": failed, "cpu_s_per_op": cpu_per_op, "metrics": metrics}
 
 
 def main():
@@ -99,17 +137,19 @@ def main():
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
                 start = time.time()
-                result, seconds = run_perfbench(getattr(args, side), workload, pair)
-                runs.append({"pair": pair, "seed": pair, "side": side, "seconds": seconds,
-                             "result": result})
-                print(f"{workload} pair {pair} {side}: correct={result['correct']} "
-                      f"failed={result['failed']} ({time.time() - start:.0f} s)", flush=True)
+                run = run_perfbench(getattr(args, side), workload, pair)
+                runs.append({"pair": pair, "seed": pair, "side": side, **run})
+                print(f"{workload} pair {pair} {side}: correct={run['result']['correct']} "
+                      f"failed={run['result']['failed']} cpu={run['cpu_s']:.1f} s "
+                      f"({time.time() - start:.0f} s)", flush=True)
         report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, body in report["workloads"].items():
         summary = body["summary"]
+        cpu = summary["cpu_s_per_op"]
         print(f"{workload:9s} failed operations: parent {summary['failed']['parent']}, "
-              f"change {summary['failed']['change']}")
+              f"change {summary['failed']['change']}; CPU s per operation "
+              f"{cpu['parent']:.4g} -> {cpu['change']:.4g} ratio {cpu['ratio']:.3f}")
         for name, row in summary["metrics"].items():
             print(f"{workload:9s} {name:22s} {row['parent']:>10.4g} -> {row['change']:>10.4g} "
                   f"{row['unit']:6s} ratio {row.get('ratio', float('nan')):.3f} "

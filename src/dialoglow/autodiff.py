@@ -2,10 +2,10 @@
 
 Only the operations the dialogue model records are provided. Two are whole
 layers: ``bilstm_max`` runs both LSTM directions along a padded batch's time
-axis and max-pools them, and ``self_attention`` mixes a window's rows by
-scaled dot-product weights. Every op runs on plain numpy arrays; while a
-tape is open, ops that touch a gradient-bearing tensor append a backward
-rule to it, and ``backward`` replays the tape in reverse. Creation order is
+axis, input gates shut at padding, and max-pools them; ``self_attention``
+mixes a window's rows by scaled dot-product weights. Every op runs on plain
+numpy arrays; while a tape is open, ops that touch a gradient-bearing tensor
+append a backward rule to it, and ``backward`` replays the tape in reverse. Creation order is
 already topological, so no sorting is needed and every rule fires at most once.
 
 ``bilstm_max`` is the only op that uses a second thread. When its weights
@@ -213,9 +213,9 @@ def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray,
     """One LSTM direction over time-major inputs, max-pooled over each row's real steps.
 
     ``xs`` is (steps, n, d) and ``real`` (steps, n, 1) marks each row's real
-    steps, which come first; every array is indexed by time. A row's state
-    changes only at its real steps, so ``reverse``, walking from the last
-    step down, keeps the zero start state through a row's trailing padding.
+    steps, which come first; every array is indexed by time. The input gate
+    is exactly 0 at padding steps, so ``reverse``, walking from the last step
+    down, keeps the zero start state exactly through a row's trailing padding.
     Returns the (n, h) maximum of the hidden state over the real steps and the
     BPTT rule mapping its gradient to (d xs, d w, d b). Of tied steps, the
     first in time takes the gradient. The input projection of all steps is one
@@ -225,6 +225,7 @@ def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray,
     hid = b.shape[0] // 4
     w_x, w_h = w[:, :d], w[:, d:]
     pre = (xs.reshape(-1, d) @ w_x.T + b).reshape(steps, n, 4 * hid)
+    pre[:, :, :hid][~real[:, :, 0]] = -np.inf  # shut input gate: expit gives exactly 0.0
     acts = np.empty_like(pre)  # gate activations i, f, g, o
     cells = np.zeros((steps + 1, n, hid))
     hs = np.zeros((steps + 1, n, hid))
@@ -238,10 +239,9 @@ def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray,
         a[:] = expit(z)
         a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
         i, f, g, o = np.split(a, 4, axis=1)
-        c = f * c_in[s] + i * g
-        tanh_c[s] = np.tanh(c)
-        c_out[s] = np.where(real[s], c, c_in[s])
-        h_out[s] = np.where(real[s], o * tanh_c[s], h_in[s])
+        c_out[s] = f * c_in[s] + i * g
+        tanh_c[s] = np.tanh(c_out[s])
+        h_out[s] = o * tanh_c[s]
     arg = np.argmax(np.where(real, h_out, -np.inf), axis=0)[None]  # (1, n, h)
 
     def rule(gu):
@@ -249,12 +249,12 @@ def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray,
         np.put_along_axis(dh_out, arg, gu[None], axis=0)
         d_pre = np.empty_like(pre)
         dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
-        # At a padding step the state only passes through, and what passes
-        # reaches nothing but a start state, so the gradient stops there.
+        # d_pre is exactly 0 at padding: i = 0 zeroes the i and g terms, and
+        # c_in = tanh(c) = 0 (reverse) or dh = dc = 0 (forward) the f and o terms.
         for s in range(steps) if reverse else reversed(range(steps)):
             i, f, g, o = np.split(acts[s], 4, axis=1)
-            dh = np.where(real[s], dh + dh_out[s], 0.0)
-            dc = np.where(real[s], dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s]), 0.0)
+            dh = dh + dh_out[s]
+            dc = dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
             da = d_pre[s]
             da[:, :hid] = dc * g * i * (1.0 - i)
             da[:, hid : 2 * hid] = dc * c_in[s] * f * (1.0 - f)
@@ -340,10 +340,10 @@ def bilstm_max(
     and its ``b`` is (4h,), gates stacked input, forget, cell, output; no
     peepholes. Both directions read one time-major view of ``x``: the
     forward one from the first step up, the backward one from the last step
-    down, holding its zero start state through a row's trailing padding, so
-    padding never enters a real step. Row r is the maximum over its real
-    steps of the forward hidden state, then of the backward one. Of tied
-    steps, the first in time takes the gradient, in both directions.
+    down, both with the input gate shut at padding steps, so padding never
+    enters a real step. Row r is the maximum over its real steps of the
+    forward hidden state, then of the backward one. Of tied steps, the first
+    in time takes the gradient, in both directions.
 
     The forward direction runs on the calling thread, the backward one on
     the worker thread at the same time, for the output and again for the

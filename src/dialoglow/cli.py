@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,7 @@ from . import train as tr
 from .corpus import (
     CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_windows,
 )
-from .files import write_atomic
+from .files import read_text, write_atomic
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -53,53 +54,40 @@ def _parse_dims(text: str) -> tuple:
         raise CliError(f"cannot parse layer sizes from {text!r} (want e.g. 128,128)")
 
 
-def _opt_int(text: str):
-    return int(text) if text.strip() else None
-
-
-def _opt_float(text: str):
-    return float(text) if text.strip() else None
-
-
-_MODEL_KEYS = {
-    "embed_dim": int,
-    "hidden_size": int,
-    "window_size": int,
-    "fc_dims": _parse_dims,
-    "variant": str,
+# One parser per field annotation of the config dataclasses. A bare tuple is
+# class_weights: a mode name or an explicit list, resolved after the data loads.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, ...]: _parse_dims,
+    int | None: lambda text: int(text) if text.strip() else None,
+    float | None: lambda text: float(text) if text.strip() else None,
+    tuple: str,
 }
-_TRAIN_KEYS = {
-    "lr0": float,
-    "decay": float,
-    "epochs": _opt_int,
-    "batch_size": int,
-    "dropout": float,
-    "class_weights": str,  # mode or explicit list, resolved after data loads
-    "seed": int,
-    "val_fraction": float,
-    "grad_clip": _opt_float,
+# Config file section -> key -> parser; [model] and [train] keys are the config fields.
+_KEYS = {
+    section: {key: _PARSERS[hint] for key, hint in typing.get_type_hints(cls).items()}
+    for section, cls in (("model", m.ModelConfig), ("train", tr.TrainConfig))
 }
+_KEYS["paths"] = {"data_dir": str}
 
 
 def _read_config_file(path: Path) -> dict:
     """Sectioned key=value file -> {'model': {...}, 'train': {...}, 'paths': {...}}."""
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(read_text(path, CliError), source=str(path))
     except FileNotFoundError:
         raise CliError(f"no such config file: {path}")
     except configparser.Error as exc:
         raise CliError(f"bad config file {path}: {exc}")
-    out = {"model": {}, "train": {}, "paths": {}}
+    out = {section: {} for section in _KEYS}
     for section in parser.sections():
         if section not in out:
             raise CliError(f"{path}: unknown config section [{section}]")
-        keys = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS}.get(section)
+        keys = _KEYS[section]
         for key, raw in parser.items(section):
-            if section == "paths":
-                out["paths"][key] = raw
-                continue
             if key not in keys:
                 raise CliError(f"{path}: unknown key {key!r} in [{section}]")
             try:
@@ -110,20 +98,19 @@ def _read_config_file(path: Path) -> dict:
 
 
 def _build_configs(args):
-    """defaults < config file < flags. Returns (ModelConfig, TrainConfig, weight_mode)."""
-    file_cfg = {"model": {}, "train": {}, "paths": {}}
+    """defaults < config file < flags. Returns (ModelConfig, TrainConfig, weight_mode, paths)."""
+    file_cfg = {section: {} for section in _KEYS}
     if getattr(args, "config", None):
         file_cfg = _read_config_file(Path(args.config))
-    model_kw = dict(file_cfg["model"])
-    train_kw = dict(file_cfg["train"])
+    model_kw, train_kw = file_cfg["model"], file_cfg["train"]
     # Every flag's dest is its config field name.
-    for keys, kw in ((_MODEL_KEYS, model_kw), (_TRAIN_KEYS, train_kw)):
-        for key in keys:
+    for section, kw in (("model", model_kw), ("train", train_kw)):
+        for key in _KEYS[section]:
             value = getattr(args, key, None)
             if value is not None:
                 kw[key] = _parse_dims(value) if key == "fc_dims" else value
 
-    weight_mode = str(train_kw.pop("class_weights", "uniform")).strip()
+    weight_mode = train_kw.pop("class_weights", "uniform").strip()
     try:
         mcfg = m.ModelConfig(**model_kw)
         tcfg = tr.TrainConfig(**train_kw)
@@ -171,13 +158,6 @@ def _write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def _split(name: str) -> Split:
-    try:
-        return Split(name)
-    except ValueError:
-        raise CliError(f"unknown split {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -185,7 +165,7 @@ def _split(name: str) -> Split:
 def cmd_preprocess(args) -> int:
     data_dir = _data_dir({})
     path = _resolve_input(args.data, data_dir)
-    ds = load_dataset(path, _split(args.split))
+    ds = load_dataset(path, Split(args.split))
     # prepare() is a pure function of its text: run it once per distinct text.
     texts = [u.raw_text for d in ds.dialogues for u in d.utterances]
     tokens = {text: pp.prepare(text) for text in dict.fromkeys(texts)}
@@ -247,7 +227,7 @@ def _epoch_printer(row):
 def cmd_train(args) -> int:
     mcfg, tcfg, weight_mode, paths_cfg = _build_configs(args)
     data_dir = _data_dir(paths_cfg)
-    ds = load_dataset(_resolve_input(args.data, data_dir), _split(args.split))
+    ds = load_dataset(_resolve_input(args.data, data_dir), Split.TRAIN)
 
     val_ds = None
     if args.val is not None:
@@ -318,7 +298,7 @@ def _load_model(args):
 
 def cmd_eval(args) -> int:
     ckpt, vocab, cfg, params = _load_model(args)
-    ds = load_dataset(_resolve_input(args.data, _data_dir({})), _split(args.split))
+    ds = load_dataset(_resolve_input(args.data, _data_dir({})), Split.TEST)
     report = tr.evaluate_dataset(ds, vocab, params, cfg)
     print(report.table())
     blob = {**_provenance(ckpt), "report": report.to_json_dict()}
@@ -331,7 +311,7 @@ def cmd_eval(args) -> int:
 
 def _read_prediction_input(path: Path):
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path, CliError))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: malformed JSON: {exc}")
     if not isinstance(doc, list):
@@ -424,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="clean, tokenize, and encode a dialogue corpus")
     p.add_argument("data", help="dialogue JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--split", default="train", help="split name for dialogue ids")
+    p.add_argument(
+        "--split", default="train", choices=[s.value for s in Split],
+        help="split name for dialogue ids",
+    )
     p.add_argument("--min-count", type=int, default=1, help="drop rarer tokens from the vocab")
     p.set_defaults(func=cmd_preprocess)
 
@@ -453,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="pretrained word vector text file")
     p.add_argument("--freeze-embeddings", action="store_true")
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--split", default="train")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch rows")
     p.set_defaults(func=cmd_train)
 
@@ -461,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("data")
     p.add_argument("--vocab", help="vocab file (default: next to the checkpoint)")
-    p.add_argument("--split", default="test")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 

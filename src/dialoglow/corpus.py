@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .files import read_text
+
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or records."""
@@ -123,12 +125,12 @@ def load_dataset(path: "str | Path", split: Split) -> Dataset:
     """Read one split from a JSON dialogue file.
 
     Raises:
-        CorpusError: on malformed JSON (reported with its byte offset),
-            on a non-array document, on unknown emotion strings (reported
-            with the dialogue index) and on empty dialogues.
+        CorpusError: on bytes that are not UTF-8 or malformed JSON (both
+            reported with a byte offset), on a non-array document, on unknown
+            emotion strings (with the dialogue index) and on empty dialogues.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, CorpusError)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -170,17 +172,6 @@ def load_dataset(path: "str | Path", split: Split) -> Dataset:
             utts.append(Utterance(speaker_id=speaker, raw_text=text_field, gold=gold))
         dialogues.append(Dialogue(id=f"{split.value}-{di:04d}", utterances=utts))
     return Dataset(split=split, dialogues=dialogues)
-
-
-def serialize_dataset(ds: Dataset) -> list[list[dict[str, str]]]:
-    """Inverse of load_dataset for the content fields."""
-    return [
-        [
-            {"speaker": u.speaker_id, "utterance": u.raw_text, "emotion": u.gold.value}
-            for u in d.utterances
-        ]
-        for d in ds.dialogues
-    ]
 
 
 def split_windows(items: Sequence, window_size: int) -> list[list]:

@@ -74,35 +74,39 @@ def load_pretrained(
 ) -> EmbeddingTable:
     """Read a text embedding file: one "token v1 ... vdim" line per word.
 
-    Raises EmbeddingError, citing the line number, when a line does not
-    carry exactly ``dim`` values or a value fails to parse.
+    Raises EmbeddingError when the file is not UTF-8 text or, citing the line
+    number, when a line does not carry exactly ``dim`` values or one fails.
     """
     path = Path(path)
     wanted = {tok: i for i, tok in enumerate(vocab.tokens) if tok not in SPECIALS}
     found: dict[int, np.ndarray] = {}
-    with path.open(encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise EmbeddingError(
-                    f"{path}: line {ln}: expected {dim} values after the token, "
-                    f"got {len(parts) - 1}"
-                )
-            idx = wanted.get(parts[0])
-            if idx is None or idx in found:
-                continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingError(
-                    f"{path}: line {ln}: non-numeric embedding value"
-                ) from None
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path}: line {ln}: non-finite embedding value")
-            found[idx] = vec
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                if len(parts) != dim + 1:
+                    raise EmbeddingError(
+                        f"{path}: line {ln}: expected {dim} values after the token, "
+                        f"got {len(parts) - 1}"
+                    )
+                idx = wanted.get(parts[0])
+                if idx is None or idx in found:
+                    continue
+                try:
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError:
+                    raise EmbeddingError(
+                        f"{path}: line {ln}: non-numeric embedding value"
+                    ) from None
+                if not np.all(np.isfinite(vec)):
+                    raise EmbeddingError(f"{path}: line {ln}: non-finite embedding value")
+                found[idx] = vec
+    except UnicodeDecodeError:
+        # Text reads decode in chunks, so the bad byte's line is not known.
+        raise EmbeddingError(f"{path}: not UTF-8 text") from None
     weights, oov = _fill(vocab, dim, seed, found)
     return EmbeddingTable(
         weights=Tensor(weights, requires_grad=trainable),

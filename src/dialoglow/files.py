@@ -1,4 +1,4 @@
-"""Crash-safe writes for every file the tool produces."""
+"""Crash-safe writes for every file the tool produces, and strict UTF-8 reads."""
 from __future__ import annotations
 
 import os
@@ -20,3 +20,11 @@ def write_atomic(path: "str | Path", data: "bytes | bytearray | memoryview") -> 
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: "str | Path", error: type) -> str:
+    """The UTF-8 text of ``path``; a byte that is not UTF-8 raises ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte offset {exc.start}") from None

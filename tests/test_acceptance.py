@@ -21,8 +21,9 @@ from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
-from dialoglow.corpus import load_dataset, serialize_dataset, Split, corpus_stats
+from dialoglow.corpus import load_dataset, Split, corpus_stats
 
+from helpers import serialize_dataset
 from test_model import forward_padded
 from test_preprocess import CLEAN_GOLDENS, COLLAPSE_GOLDENS, PREPARE_GOLDENS, TOKENIZE_GOLDENS
 

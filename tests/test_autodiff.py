@@ -459,6 +459,42 @@ def bilstm_max_and_grads(x, lengths, params, r):
     return tape._records[0][0].data, [grads[t] for t in (x, *params)]
 
 
+def test_bilstm_max_gradients_ignore_nonzero_trailing_padding():
+    # Padding holds random non-zero inputs here, not the all-zero PAD row, and
+    # three more steps of it are appended: nothing of it may reach u, db or dx.
+    # The shapes keep every GEMM on one BLAS thread: with more, OpenBLAS may
+    # round a row of a product differently when the product gains rows.
+    rng = np.random.default_rng(8)
+    lengths = [6, 2, 1, 5]
+    x, extra = rand(rng, 4, 6, 8), rng.normal(size=(4, 3, 8))
+    padded = ad.Tensor(np.concatenate([x.data, extra], axis=1), requires_grad=True)
+    params = [rand(rng, *shape, lo=-0.5, hi=0.5) for shape in ((64, 24), (64,)) * 2]
+    r = rng.normal(size=(4, 32))
+    u, (dx, dw_fwd, db_fwd, dw_bwd, db_bwd) = bilstm_max_and_grads(x, lengths, params, r)
+    u_pad, (dx_pad, *grads_pad) = bilstm_max_and_grads(padded, lengths, params, r)
+    assert np.array_equal(u_pad, u)
+    assert np.array_equal(grads_pad[1], db_fwd) and np.array_equal(grads_pad[3], db_bwd)
+    assert np.array_equal(dx_pad[:, :6], dx)
+    real = np.arange(9) < np.asarray(lengths)[:, None]
+    assert np.all(dx_pad[~real] == 0.0) and np.all(dx_pad[real] != 0.0)
+    # The weight-gradient GEMM sums over every step, so its rounding may move.
+    for got, want in ((grads_pad[0], dw_fwd), (grads_pad[2], dw_bwd)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_bilstm_max_never_reads_the_values_at_padding_steps():
+    # Full size, so both directions run on two threads where the CPUs allow.
+    # Same shapes, padding all zeros or random: every output is bit-identical.
+    x, lengths, params, r = full_size_window(seed=8)
+    real = np.arange(x.shape[1]) < np.asarray(lengths)[:, None]
+    zeroed = ad.Tensor(np.where(real[:, :, None], x.data, 0.0), requires_grad=True)
+    u, grads = bilstm_max_and_grads(x, lengths, params, r)
+    u_zeroed, grads_zeroed = bilstm_max_and_grads(zeroed, lengths, params, r)
+    assert np.array_equal(u, u_zeroed)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, grads_zeroed))
+    assert np.all(grads[0][~real] == 0.0)
+
+
 def directions_on_threads(monkeypatch):
     # Each _pooled_lstm forward and BPTT run as (pass, reverse, thread name);
     # reverse marks the backward direction.

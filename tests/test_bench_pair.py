@@ -13,10 +13,11 @@ def load_script():
     return module
 
 
-def run(pair, side, failed, eval_rate, predict_ms):
+def run(pair, side, failed, eval_rate, predict_ms, cpu_s=10.0, attempted=100):
     metrics = {"eval_utt_per_s": {"value": eval_rate, "unit": "utt/s"},
                "predict_ms_p50": {"value": predict_ms, "unit": "ms"}}
-    return {"pair": pair, "side": side, "result": {"failed": failed, "metrics": metrics}}
+    result = {"failed": failed, "attempted": attempted, "metrics": metrics}
+    return {"pair": pair, "side": side, "cpu_s": cpu_s, "result": result}
 
 
 BETTER = {"eval_utt_per_s": "higher", "predict_ms_p50": "lower"}
@@ -54,3 +55,45 @@ def test_summarize_takes_one_pair_as_its_own_quartiles():
     # A zero parent value gives no ratio and no relative spread.
     assert "ratio" not in summary["metrics"]["predict_ms_p50"]
     assert "parent_spread" not in summary["metrics"]["predict_ms_p50"]
+
+
+def test_summarize_reports_cpu_seconds_per_attempted_operation():
+    bp = load_script()
+    # (parent cpu_s, attempted), (change cpu_s, attempted) per pair.
+    sides = [((10.0, 100), (12.0, 100)), ((30.0, 100), (15.0, 50)), ((20.0, 200), (9.0, 100))]
+    runs = []
+    for pair, ((p_cpu, p_ops), (c_cpu, c_ops)) in enumerate(sides, 1):
+        runs.append(run(pair, "parent", 0, 100.0, 50.0, cpu_s=p_cpu, attempted=p_ops))
+        runs.append(run(pair, "change", 0, 100.0, 50.0, cpu_s=c_cpu, attempted=c_ops))
+    cpu = bp.summarize(runs, BETTER)["cpu_s_per_op"]
+    # Per operation: parent 0.1, 0.3, 0.1; change 0.12, 0.3, 0.09.
+    assert cpu["parent"] == pytest.approx(0.1) and cpu["change"] == pytest.approx(0.12)
+    assert cpu["ratio"] == pytest.approx(1.0)  # median of 1.2, 1.0, 0.9
+
+
+def test_steal_share_of_two_tick_readings():
+    bp = load_script()
+    assert bp.steal_share((10, 1000), (30, 1400)) == pytest.approx(0.05)
+    assert bp.steal_share(None, (30, 1400)) is None
+    assert bp.steal_share((10, 1000), None) is None
+    assert bp.steal_share((10, 1000), (10, 1000)) is None
+    ticks = bp.cpu_ticks()
+    assert ticks is None or 0 <= ticks[0] <= ticks[1]
+
+
+def test_run_perfbench_records_the_runs_cpu_seconds(tmp_path):
+    bp = load_script()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, time\n"
+        "start = time.process_time()\n"
+        "while time.process_time() - start < 0.2:\n"
+        "    pass\n"
+        "print('workload dialogue seed 3 seconds 40')\n"
+        "print(json.dumps({'correct': True, 'attempted': 4, 'failed': 0, 'metrics': {}}))\n"
+    )
+    got = bp.run_perfbench(tmp_path, "dialogue", 3)
+    assert got["seconds"] == 40.0 and got["result"]["attempted"] == 4
+    # The stub spins for 0.2 s of its own CPU time; rusage may account it a little apart.
+    assert 0.15 <= got["cpu_s"] < 5.0
+    assert got["steal_share"] is None or 0.0 <= got["steal_share"] <= 1.0

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dialoglow import cli, synthetic
-from dialoglow.corpus import serialize_dataset
+from helpers import serialize_dataset
 
 CONFIG = """\
 [model]
@@ -84,6 +84,17 @@ def test_preprocess_missing_file_exits_2_naming_it(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_preprocess_split_names_the_dialogue_ids(tmp_path, capsys):
+    data, out = write_corpus(tmp_path), tmp_path / "prep"
+    assert cli.main(["preprocess", str(data), "--out", str(out), "--split", "validation"]) == 0
+    encoded = json.loads((out / "encoded.json").read_text())
+    assert encoded["dialogues"][0]["id"] == "validation-0000"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["preprocess", str(data), "--out", str(out), "--split", "dev"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'dev'" in capsys.readouterr().err
+
+
 def test_data_dir_env_var_resolves_relative_inputs(tmp_path, monkeypatch, capsys):
     write_corpus(tmp_path, name="corpus.json")
     monkeypatch.setenv("DIALOGLOW_DATA_DIR", str(tmp_path))
@@ -140,6 +151,58 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     rc = cli.main(["train", str(data), "--out", str(tmp_path / "x"), "--config", str(cfg)])
     assert rc == 2
     assert "banana" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "lr0 = 0.1\n",
+            "bad config file {cfg}: File contains no section headers.\n"
+            "file: '{cfg}', line: 1\n'lr0 = 0.1\\n'",
+        ),
+        ("[optim]\nlr0 = 0.1\n", "{cfg}: unknown config section [optim]"),
+        ("[model]\ndepth = 2\n", "{cfg}: unknown key 'depth' in [model]"),
+        ("[train]\nlr = 0.1\n", "{cfg}: unknown key 'lr' in [train]"),
+        ("[paths]\ndata-dir = /x\n", "{cfg}: unknown key 'data-dir' in [paths]"),
+        ("[model]\nhidden_size = 4.5\n", "{cfg}: bad value '4.5' for hidden_size"),
+        ("[train]\ndropout = lots\n", "{cfg}: bad value 'lots' for dropout"),
+        ("[train]\ngrad_clip = none\n", "{cfg}: bad value 'none' for grad_clip"),
+        ("[model]\nfc_dims = 8;8\n", "cannot parse layer sizes from '8;8' (want e.g. 128,128)"),
+        (
+            "[train]\nclass_weights = 1,1,x\n",
+            "bad class_weights '1,1,x': could not convert string to float: 'x'",
+        ),
+        (
+            "[model]\nvariant = lstm\n",
+            "bad configuration: variant must be one of ('bilstm', 'sa-bilstm'), got 'lstm'",
+        ),
+    ],
+    ids=[
+        "no-header", "section", "model-key", "train-key", "paths-key", "int", "float",
+        "optional-float", "layer-sizes", "class-weights", "variant",
+    ],
+)
+def test_config_file_errors_exit_2_with_their_message(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    # The config is read before the data, so a missing data file is never reached.
+    argv = ["train", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+
+def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    assert cli.main(["train", "x.json", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: no such config file: {cfg}\n"
+
+
+def test_config_file_empty_optional_values_mean_the_default(tmp_path):
+    cfg = write_config(tmp_path, "[train]\nepochs =\ngrad_clip =\n\n[paths]\ndata_dir = /d\n")
+    args = cli.build_parser().parse_args(["train", "x.json", "--out", "o", "--config", str(cfg)])
+    mcfg, tcfg, weight_mode, paths = cli._build_configs(args)
+    assert (tcfg.epochs, tcfg.grad_clip) == (None, None)
+    assert (mcfg, weight_mode, paths) == (cli.m.ModelConfig(), "uniform", {"data_dir": "/d"})
 
 
 def test_train_split_leaving_no_training_dialogue_exits_2(tmp_path, capsys):
@@ -210,6 +273,19 @@ def test_eval_empty_scored_set_is_an_error(tmp_path, capsys):
     assert "zero scored" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "a.json", "--out", "o"], ["eval", "c.bin", "d.json"]],
+    ids=["train", "eval"],
+)
+def test_train_and_eval_take_no_split_flag(capsys, argv):
+    # Neither writes dialogue ids, the only thing a split name sets.
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--split", "test"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --split test" in capsys.readouterr().err
+
+
 # --- predict ----------------------------------------------------------------
 
 
@@ -268,6 +344,37 @@ def test_predict_stdout_mode_prints_pure_json(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0][0]["predicted_emotion"]
+
+
+# --- input encoding -----------------------------------------------------------
+
+LATIN1 = '[[{"speaker": "a", "utterance": "café", "emotion": "joy"}]]\n'.encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "command", ["preprocess", "train", "train-config", "train-embeddings", "predict"]
+)
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(LATIN1)
+    out = str(tmp_path / "out")
+    if command == "predict":
+        assert run_train(tmp_path)[0] == 0
+        capsys.readouterr()  # drop the training chatter
+    argv = {
+        "preprocess": ["preprocess", str(bad), "--out", out],
+        "train": ["train", str(bad), "--out", out],
+        "train-config": ["train", str(write_corpus(tmp_path)), "--out", out, "--config", str(bad)],
+        "train-embeddings": [
+            "train", str(write_corpus(tmp_path)), "--out", out, "--embed-dim", "1",
+            "--embeddings", str(bad),
+        ],
+        "predict": ["predict", str(tmp_path / "run" / "checkpoint.bin"), str(bad)],
+    }[command]
+    assert cli.main(argv) == 2
+    # A line-by-line read decodes in chunks: the embedding reader names no offset.
+    where = "" if command == "train-embeddings" else f" at byte offset {LATIN1.index(0xE9)}"
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text{where}\n"
 
 
 # --- gradcheck / misc ---------------------------------------------------------

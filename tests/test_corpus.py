@@ -13,6 +13,7 @@ from dialoglow.corpus import (
     Split,
     Utterance,
 )
+from helpers import serialize_dataset
 
 DIAL = [
     [
@@ -98,7 +99,7 @@ def test_missing_field_and_non_array_rejected(tmp_path):
 
 def test_serialize_round_trips_content(tmp_path):
     ds = corpus.load_dataset(write_corpus(tmp_path, DIAL), Split.TRAIN)
-    out = corpus.serialize_dataset(ds)
+    out = serialize_dataset(ds)
     for orig_d, out_d in zip(DIAL, out):
         for orig_u, out_u in zip(orig_d, out_d):
             assert out_u["speaker"] == orig_u["speaker"]

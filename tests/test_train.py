@@ -17,8 +17,8 @@ from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
-from dialoglow.corpus import EmotionLabel, serialize_dataset
-from helpers import project
+from dialoglow.corpus import EmotionLabel
+from helpers import project, serialize_dataset
 
 
 def tiny_model_cfg(**over):
