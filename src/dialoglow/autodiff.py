@@ -1,9 +1,9 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Only the operations the dialogue model records are provided. Two are whole
-layers: ``bilstm_max`` runs both LSTM directions along a padded batch's time
-axis, input gates shut at padding, and max-pools them; ``self_attention``
-mixes a window's rows by scaled dot-product weights. Every op runs on plain
+layers: ``bilstm_max`` packs a padded batch's real tokens, rows sorted longest
+first, runs both LSTM directions over them and max-pools them;
+``self_attention`` mixes a window's rows by scaled dot-product weights. Every op runs on plain
 numpy arrays; while a tape is open, ops that touch a gradient-bearing tensor
 append a backward rule to it, and ``backward`` replays the tape in reverse. Creation order is
 already topological, so no sorting is needed and every rule fires at most once.
@@ -19,6 +19,7 @@ to running them one after the other, which is what happens otherwise.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -209,64 +210,114 @@ def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
 # model-specific primitives
 
 
-def _pooled_lstm(xs: np.ndarray, real: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
-    """One LSTM direction over time-major inputs, max-pooled over each row's real steps.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a one-row ``a`` stepped alongside a discarded copy of its row.
 
-    ``xs`` is (steps, n, d) and ``real`` (steps, n, 1) marks each row's real
-    steps, which come first; every array is indexed by time. The input gate
-    is exactly 0 at padding steps, so ``reverse``, walking from the last step
-    down, keeps the zero start state exactly through a row's trailing padding.
-    Returns the (n, h) maximum of the hidden state over the real steps and the
-    BPTT rule mapping its gradient to (d xs, d w, d b). Of tied steps, the
-    first in time takes the gradient. The input projection of all steps is one
-    GEMM, and so is the weight gradient.
+    OpenBLAS sends a one-row product to its matrix-vector kernel, which rounds
+    differently from the same row inside a product of two or more rows. On a
+    2-core x86-64 VM with one OpenBLAS thread (0.3.31), the forward products
+    at ModelConfig's sizes, with 300 and 256 inputs per entry, gave a row the
+    same bits in products of 2 to 64 rows, so a sentence vector does not
+    depend on the batch it is encoded in. BPTT's products, with 1024 inputs
+    per entry, rounded a row differently at some row counts.
     """
-    steps, n, d = xs.shape
-    hid = b.shape[0] // 4
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+def _pack(lengths: np.ndarray):
+    """The packed layout of a ragged batch: rows sorted longest first, then time-major.
+
+    Returns ``order``, the caller's row of each sorted row (a stable sort);
+    ``sizes``, the number of live rows per step, which never grows, since step
+    s holds the sorted rows ``[:sizes[s]]``; and, for every packed position,
+    the caller's row and the step it holds.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    live = lengths[order] > np.arange(lengths.max())[:, None]  # (steps, n)
+    steps, ranks = np.nonzero(live)
+    return order, live.sum(axis=1), order[ranks], steps
+
+
+def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
+    """One LSTM direction over a packed batch, max-pooled over each row's steps.
+
+    ``xp`` is (tokens, d): the real steps of n rows sorted longest first, laid
+    out step by step, each step a block of its ``sizes[s]`` live rows, which
+    are a prefix of the rows (see ``_pack``). ``reverse`` walks from the last
+    step down; a row then joins when the walk reaches its last step, from the
+    zero state. Only live rows are computed: the input projection is one GEMM
+    over the real tokens and each step's recurrent GEMM covers the rows that
+    carry a state over from the step before. The gates are computed in place,
+    in the input projection's buffer. Returns the (n, h) maximum of the
+    hidden state over each row's steps, in sorted row order, and the BPTT
+    rule mapping its gradient to (d xp, d w, d b). Of tied steps, the first
+    in time takes the gradient.
+    """
+    tokens, d = xp.shape
+    n, hid = int(sizes[0]), b.shape[0] // 4
     w_x, w_h = w[:, :d], w[:, d:]
-    pre = (xs.reshape(-1, d) @ w_x.T + b).reshape(steps, n, 4 * hid)
-    pre[:, :, :hid][~real[:, :, 0]] = -np.inf  # shut input gate: expit gives exactly 0.0
-    acts = np.empty_like(pre)  # gate activations i, f, g, o
-    cells = np.zeros((steps + 1, n, hid))
-    hs = np.zeros((steps + 1, n, hid))
-    # [s] of the *_in views is the state entering step s, of the *_out views the one it leaves.
-    c_in, c_out = (cells[1:], cells[:-1]) if reverse else (cells[:-1], cells[1:])
-    h_in, h_out = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
-    tanh_c = np.empty((steps, n, hid))
-    for s in reversed(range(steps)) if reverse else range(steps):
-        z = pre[s] + h_in[s] @ w_h.T
-        a = acts[s]
-        a[:] = expit(z)
-        a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
-        i, f, g, o = np.split(a, 4, axis=1)
-        c_out[s] = f * c_in[s] + i * g
-        tanh_c[s] = np.tanh(c_out[s])
-        h_out[s] = o * tanh_c[s]
-    arg = np.argmax(np.where(real, h_out, -np.inf), axis=0)[None]  # (1, n, h)
+    w_hT = w_h.T
+    # Step s is the block starts[s]:starts[s + 1] of every per-token array.
+    starts = [0, *itertools.accumulate(sizes.tolist())]
+    acts = _product(xp, w_x.T)  # pre-activations, turned into gate activations i, f, g, o
+    acts += b
+    cells, tanh_c, hs = np.empty((tokens, hid)), np.empty((tokens, hid)), np.empty((tokens, hid))
+    u = np.empty((n, hid))
+    u.fill(-np.inf)
+    # (block start, live rows, block start of the step before in the walk,
+    # rows carrying their state over from it); the other rows start at zero.
+    walk, p, k = [], 0, 0
+    for s in reversed(range(len(starts) - 1)) if reverse else range(len(starts) - 1):
+        lo, hi = starts[s], starts[s + 1]
+        m = hi - lo
+        k = min(m, k)
+        walk.append((lo, m, p, k))
+        a = acts[lo:hi]
+        if k:
+            a[:k] += _product(hs[p : p + k], w_hT)
+        sig, g, o = a[:, : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
+        expit(sig, out=sig)
+        np.tanh(g, out=g)
+        expit(o, out=o)
+        c, tc, h = cells[lo:hi], tanh_c[lo:hi], hs[lo:hi]
+        np.multiply(sig[:, :hid], g, out=c)  # i * g
+        if k:
+            c[:k] += sig[:k, hid:] * cells[p : p + k]  # + f * c_prev
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+        np.maximum(u[:m], h, out=u[:m])
+        p, k = lo, m
 
     def rule(gu):
-        dh_out = np.zeros((steps, n, hid))
-        np.put_along_axis(dh_out, arg, gu[None], axis=0)
-        d_pre = np.empty_like(pre)
+        # Each maximum's packed position, the first in time of tied steps, takes its gradient.
+        over_time = np.full((len(sizes), n, hid), -np.inf)
+        over_time[np.arange(n) < sizes[:, None]] = hs  # time-major, as packed
+        at = np.asarray(starts)[np.argmax(over_time, axis=0)] + np.arange(n)[:, None]
+        dh_out = np.zeros((tokens, hid))
+        np.put_along_axis(dh_out, at, gu, axis=0)
+        d_pre = np.empty_like(acts)
+        h_in = np.zeros((tokens, hid))
         dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
-        # d_pre is exactly 0 at padding: i = 0 zeroes the i and g terms, and
-        # c_in = tanh(c) = 0 (reverse) or dh = dc = 0 (forward) the f and o terms.
-        for s in range(steps) if reverse else reversed(range(steps)):
-            i, f, g, o = np.split(acts[s], 4, axis=1)
-            dh = dh + dh_out[s]
-            dc = dc + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
-            da = d_pre[s]
-            da[:, :hid] = dc * g * i * (1.0 - i)
-            da[:, hid : 2 * hid] = dc * c_in[s] * f * (1.0 - f)
-            da[:, 2 * hid : 3 * hid] = dc * i * (1.0 - g * g)
-            da[:, 3 * hid :] = dh * tanh_c[s] * o * (1.0 - o)
-            dh = da @ w_h
-            dc = dc * f
-        dz = d_pre.reshape(-1, 4 * hid)
-        inputs = np.concatenate([xs, h_in], axis=2).reshape(-1, d + hid)
-        return (dz @ w_x).reshape(steps, n, d), dz.T @ inputs, dz.sum(axis=0)
+        for lo, m, p, k in reversed(walk):
+            a, tc, da = acts[lo : lo + m], tanh_c[lo : lo + m], d_pre[lo : lo + m]
+            i, f, g, o = (a[:, j * hid : (j + 1) * hid] for j in range(4))
+            dh[:m] += dh_out[lo : lo + m]
+            dc[:m] += dh[:m] * o * (1.0 - tc * tc)
+            da[:, :hid] = dc[:m] * g * i * (1.0 - i)
+            da[:k, hid : 2 * hid] = dc[:k] * cells[p : p + k] * f[:k] * (1.0 - f[:k])
+            da[k:, hid : 2 * hid] = 0.0  # a row's first step starts from c = 0
+            da[:, 2 * hid : 3 * hid] = dc[:m] * i * (1.0 - g * g)
+            da[:, 3 * hid :] = dh[:m] * tc * o * (1.0 - o)
+            if k:
+                h_in[lo : lo + k] = hs[p : p + k]
+                dh[:k] = _product(da[:k], w_h)
+                dc[:k] *= f[:k]
+        inputs = np.concatenate([xp, h_in], axis=1)
+        return _product(d_pre, w_x), d_pre.T @ inputs, d_pre.sum(axis=0)
 
-    return np.take_along_axis(h_out, arg, axis=0)[0], rule
+    return u, rule
 
 
 # The directions overlap only while numpy runs without the GIL, mostly in each
@@ -333,17 +384,19 @@ def _both(parallel: bool, first: Callable, second: Callable):
 def bilstm_max(
     x: Tensor, lengths: Sequence[int], fwd_w: Tensor, fwd_b: Tensor, bwd_w: Tensor, bwd_b: Tensor
 ) -> Tensor:
-    """Max-pooled BiLSTM vectors of a padded batch, (n, 2h), every row in lockstep.
+    """Max-pooled BiLSTM vectors of a padded batch, (n, 2h), computed over its real steps only.
 
     ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
     by padding. Each direction's ``w`` is (4h, d + h) acting on [x_t, h_prev]
     and its ``b`` is (4h,), gates stacked input, forget, cell, output; no
-    peepholes. Both directions read one time-major view of ``x``: the
-    forward one from the first step up, the backward one from the last step
-    down, both with the input gate shut at padding steps, so padding never
-    enters a real step. Row r is the maximum over its real steps of the
-    forward hidden state, then of the backward one. Of tied steps, the first
-    in time takes the gradient, in both directions.
+    peepholes. The rows are sorted longest first and their real steps packed
+    step by step (``_pack``), so padding never enters a product and its ``dx``
+    is exactly 0. Both directions read the packed steps: the forward one from
+    the first step up, the backward one from each row's last real step down.
+    Row r is the maximum over its real steps of the forward hidden state,
+    then of the backward one. Of tied steps, the first in time takes the
+    gradient, in both directions. No product runs on one row (``_product``),
+    so a row's output does not depend on the other rows of the batch.
 
     The forward direction runs on the calling thread, the backward one on
     the worker thread at the same time, for the output and again for the
@@ -362,22 +415,27 @@ def bilstm_max(
     lens = np.asarray(lengths, dtype=np.intp)
     if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
         raise ValueError(f"bilstm_max: need {n} lengths in [1, {steps}], got {lengths!r}")
-    real = (np.arange(steps)[:, None] < lens)[:, :, None]  # (steps, n, 1), time-major
-    xs = x.data.transpose(1, 0, 2)
+    order, sizes, rows, times = _pack(lens)
+    xp = x.data[rows, times]
     parallel = fwd_w.data.size >= PARALLEL_MIN_WEIGHTS and _cores_for_both_directions()
     (u_fwd, fwd_rule), (u_bwd, bwd_rule) = _both(
         parallel,
-        lambda: _pooled_lstm(xs, real, fwd_w.data, fwd_b.data, False),
-        lambda: _pooled_lstm(xs, real, bwd_w.data, bwd_b.data, True),
+        lambda: _pooled_lstm(xp, sizes, fwd_w.data, fwd_b.data, False),
+        lambda: _pooled_lstm(xp, sizes, bwd_w.data, bwd_b.data, True),
     )
+    u = np.empty((n, 2 * hid))
+    u[order] = np.concatenate([u_fwd, u_bwd], axis=1)
 
     def rule(g):
+        g = g[order]
         (dx_fwd, dw_fwd, db_fwd), (dx_bwd, dw_bwd, db_bwd) = _both(
             parallel, lambda: fwd_rule(g[:, :hid]), lambda: bwd_rule(g[:, hid:])
         )
-        return (dx_fwd + dx_bwd).transpose(1, 0, 2), dw_fwd, db_fwd, dw_bwd, db_bwd
+        dx = np.zeros(x.shape)
+        dx[rows, times] = dx_fwd + dx_bwd
+        return dx, dw_fwd, db_fwd, dw_bwd, db_bwd
 
-    return _out(np.concatenate([u_fwd, u_bwd], axis=1), (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
+    return _out(u, (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
 
 
 def attention_scores(u: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 Per utterance, a single-layer BiLSTM reads the word vectors in both
 directions; each time step's two hidden states are concatenated and
-max-pooled over time into one sentence vector. A window's utterances are
-encoded in lockstep by one op, ``autodiff.bilstm_max``, which runs both
-directions and pools them. The "sa-bilstm" variant then lets every
-utterance in a window attend over all the others with scaled dot-product
-weights, one ``autodiff.self_attention`` op, before a shared fully-connected
-stack scores the labels; the "bilstm" variant skips straight to the classifier.
+max-pooled over time into one sentence vector. Any batch of utterances is
+encoded by one op, ``autodiff.bilstm_max``, which packs their real tokens,
+runs both directions over them and pools them; an utterance's vector does
+not depend on the batch it is encoded in. The "sa-bilstm" variant then lets
+every utterance in a window attend over all the others with scaled
+dot-product weights, one ``autodiff.self_attention`` op, before a shared
+fully-connected stack scores the labels; the "bilstm" variant skips straight
+to the classifier. ``head`` is that part after the encoder.
 """
 from __future__ import annotations
 
@@ -110,11 +112,11 @@ class ModelParams:
 def encode_sentence(
     token_ids: Sequence[Sequence[int]], params: ModelParams, cfg: ModelConfig
 ) -> Tensor:
-    """Pooled bidirectional sentence vectors of a window's utterances, (n, sentence_dim).
+    """Pooled bidirectional sentence vectors of a batch of utterances, (n, sentence_dim).
 
-    The utterances run in lockstep, padded with PAD_ID to the longest one:
-    one embedding lookup and one pooled BiLSTM op for the whole window.
-    Padding never reaches a real step or the pooled maximum.
+    One embedding lookup over the utterances padded with PAD_ID to the
+    longest one, then one pooled BiLSTM op, which steps over the real
+    tokens only. Padding never reaches a real step or the pooled maximum.
     """
     lengths = [len(ids) for ids in token_ids]
     padded = np.full((len(token_ids), max(lengths)), PAD_ID)
@@ -148,6 +150,26 @@ def classify(x: Tensor, params: ModelParams, dropout: "Dropout | None" = None) -
     return ad.affine(x, t["out.w"], t["out.b"])
 
 
+def check_window(token_ids: Sequence[Sequence[int]], cfg: ModelConfig) -> None:
+    """ValueError unless the window holds 1 to window_size utterances, each of some tokens."""
+    n = len(token_ids)
+    if not 1 <= n <= cfg.window_size:
+        raise ValueError(f"window holds {n} utterances, limit is {cfg.window_size}")
+    if any(len(ids) == 0 for ids in token_ids):
+        raise ValueError("every utterance needs at least one token id")
+
+
+def head(
+    u_mat: Tensor, params: ModelParams, cfg: ModelConfig, dropout: "Dropout | None" = None
+) -> Tensor:
+    """Logits of one window's sentence vectors: attention for "sa-bilstm", then the FC stack."""
+    if cfg.variant == "sa-bilstm":
+        u_mat = self_attend(u_mat)
+        if dropout is not None:
+            u_mat = ad.dropout(u_mat, *dropout)
+    return classify(u_mat, params, dropout)
+
+
 def forward_window(
     token_ids: Sequence[Sequence[int]],
     params: ModelParams,
@@ -159,14 +181,5 @@ def forward_window(
     ``dropout`` is the training rate and the generator that draws its
     masks; None, the default, means inference.
     """
-    n = len(token_ids)
-    if not 1 <= n <= cfg.window_size:
-        raise ValueError(f"window holds {n} utterances, limit is {cfg.window_size}")
-    if any(len(ids) == 0 for ids in token_ids):
-        raise ValueError("every utterance needs at least one token id")
-    u_mat = encode_sentence(token_ids, params, cfg)
-    if cfg.variant == "sa-bilstm":
-        u_mat = self_attend(u_mat)
-        if dropout is not None:
-            u_mat = ad.dropout(u_mat, *dropout)
-    return classify(u_mat, params, dropout)
+    check_window(token_ids, cfg)
+    return head(encode_sentence(token_ids, params, cfg), params, cfg, dropout)

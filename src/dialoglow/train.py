@@ -384,9 +384,48 @@ def encode_dataset(ds: Dataset, vocab: Vocab, window_size: int):
     ]
 
 
+# Real tokens per packed encode_sentence call in infer: one batch holds no
+# more memory than one window did when each window was encoded padded. On a
+# full-size ModelConfig with one OpenBLAS thread, over 10 windows of 15
+# Poisson(11)-token utterances, a 384-token batch peaked at 13.5 MB of numpy
+# allocations (tracemalloc) against 13.9 MB for the median padded window, and
+# 512 tokens at 18.1 MB. infer over the 10 windows took 151, 113, 103, 103 and
+# 95 ms with caps of 128, 256, 384, 512 tokens and none.
+INFER_BATCH_TOKENS = 384
+
+
+def _token_batches(lengths: list, cap: int):
+    """Indices of ``lengths`` sorted longest first, cut into runs of at most cap in total.
+
+    An index whose length alone exceeds cap makes a run of its own.
+    """
+    batch, total = [], 0
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        if batch and total + lengths[i] > cap:
+            yield batch
+            batch, total = [], 0
+        batch.append(i)
+        total += lengths[i]
+    if batch:
+        yield batch
+
+
 def infer(windows, params, cfg) -> np.ndarray:
-    """Logits of every utterance of the token-id windows, in order: (n, len(LABEL_ORDER))."""
-    parts = [m.forward_window(ids_list, params, cfg).data for ids_list in windows]
+    """Logits of every utterance of the token-id windows, in order: (n, len(LABEL_ORDER)).
+
+    The utterances of all windows are encoded together, in packed batches of
+    at most INFER_BATCH_TOKENS tokens (an utterance's vector does not depend
+    on its batch). Each window's vectors then go through ``model.head``, as
+    in ``model.forward_window``.
+    """
+    for ids_list in windows:
+        m.check_window(ids_list, cfg)
+    utts = [ids for ids_list in windows for ids in ids_list]
+    u = np.empty((len(utts), cfg.sentence_dim))
+    for batch in _token_batches([len(ids) for ids in utts], INFER_BATCH_TOKENS):
+        u[batch] = m.encode_sentence([utts[i] for i in batch], params, cfg).data
+    bounds = np.cumsum([0] + [len(ids_list) for ids_list in windows])
+    parts = [m.head(ad.Tensor(u[lo:hi]), params, cfg).data for lo, hi in zip(bounds, bounds[1:])]
     return np.concatenate(parts) if parts else np.zeros((0, len(LABEL_ORDER)))
 
 
@@ -418,7 +457,9 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
     if float(np.sum(cw[golds])) == 0.0:
         return None
     with ad.Tape() as tape:
-        parts = [m.forward_window(ids, params, cfg, dropout) for ids, _ in windows]
+        parts = [
+            m.head(m.encode_sentence(ids, params, cfg), params, cfg, dropout) for ids, _ in windows
+        ]
         logits = parts[0] if len(parts) == 1 else ad.concat(parts)
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
@@ -494,12 +535,9 @@ def train(
             steps = [by_dialogue[di] for di in shuffle_rng.permutation(len(by_dialogue))]
         else:
             # Flat utterance batches; rows are independent for this variant,
-            # so a batch is forwarded as window-sized (ids, golds) chunks.
+            # so a batch is one (ids, golds) window, whatever its size.
             shuffled = [flat[i] for i in shuffle_rng.permutation(len(flat))]
-            steps = [
-                [tuple(zip(*chunk)) for chunk in split_windows(batch, mcfg.window_size)]
-                for batch in split_windows(shuffled, tcfg.batch_size)
-            ]
+            steps = [[tuple(zip(*batch))] for batch in split_windows(shuffled, tcfg.batch_size)]
         losses = []
         for windows in steps:
             loss = _optimize_step(

@@ -1,0 +1,107 @@
+"""Full-size ``bilstm_max`` checks that need a set OpenBLAS thread count.
+
+OpenBLAS reads its thread count once, when numpy loads it, so
+``test_autodiff`` runs each check in a child process. By hand:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/blas_thread_checks.py oracle
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 tests/blas_thread_checks.py padding
+
+A check that fails raises, so the process exits non-zero with a traceback.
+"""
+import os
+import sys
+
+import numpy as np
+
+import padded_lstm
+from dialoglow import autodiff as ad
+from helpers import project
+
+D, H = 300, 256  # ModelConfig's embedding and hidden sizes
+
+
+def full_size(rng, lengths, extra_steps=0):
+    """A random padded batch for these lengths, with non-zero padding, and full-size weights."""
+    x = rng.normal(scale=0.5, size=(len(lengths), max(lengths) + extra_steps, D))
+    params = [rng.uniform(-0.1, 0.1, size=shape) for shape in ((4 * H, D + H), (4 * H,)) * 2]
+    return x, params, rng.normal(size=(len(lengths), 2 * H))
+
+
+def packed(x, lengths, params, g):
+    """(u, [dx, dw_fwd, db_fwd, dw_bwd, db_bwd]) of ``ad.bilstm_max`` for output gradient g."""
+    x = ad.Tensor(x, requires_grad=True)
+    tensors = [ad.Tensor(p, requires_grad=True) for p in params]
+    with ad.Tape() as tape:
+        u = ad.bilstm_max(x, lengths, *tensors)
+        grads = ad.backward(tape, project(u, g))
+    return u.data, [grads[t] for t in (x, *tensors)]
+
+
+def near(got, want, tol=1e-12):
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def rowwise(a, b):
+    """``a @ b`` summed in one fixed order per entry, whatever the row count (no BLAS)."""
+    return np.einsum("ij,jk->ik", a, b, optimize=False)
+
+
+def oracle():
+    """The packed op against the frozen padded encoder, on the two-thread path.
+
+    With BLAS products, the outputs are bit-identical and the gradients
+    agree to 1e-12 of their largest entry: OpenBLAS may round a row of a
+    product with 1024 inputs per entry, as dx's and BPTT's are, differently
+    with the product's row count. With ``rowwise`` products in both, dx is
+    bit-identical too. The weight and bias gradients sum the same terms over
+    fewer rows either way, so they agree to 1e-12.
+    """
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    os.sched_getaffinity = lambda pid: {0, 1}
+    assert ad._cores_for_both_directions()
+    rng = np.random.default_rng(12)
+    cases = {
+        "unsorted, ties, length 1": [3, 11, 7, 1, 11, 5, 9],
+        "all equal": [6, 6, 6, 6, 6],
+        "one live row at the last steps": [12, 3, 5, 2],
+        "every row length 1": [1, 1, 1],
+        # The padded encoder stepped a one-row batch on BLAS's matrix-vector
+        # path, so its oracle is that row in a batch of two.
+        "one row": [7],
+        "one row of one step": [1],
+    }
+    blas_product = ad._product
+    for name, lengths in cases.items():
+        together = lengths + [4] if len(lengths) == 1 else lengths
+        x, params, g = full_size(rng, together, extra_steps=2)
+        g[len(lengths) :] = 0.0  # the second row adds nothing to the weight gradients
+        for matmul in (np.matmul, rowwise):
+            ad._product = blas_product if matmul is np.matmul else rowwise
+            n, steps = len(lengths), max(lengths)
+            u, grads = packed(x[:n, :steps], lengths, params, g[:n])
+            u_want, grads_want = padded_lstm.bilstm_max(x, together, params, g, matmul)
+            dx_want = grads_want[0][:n, :steps]
+            assert np.array_equal(u, u_want[:n]), (name, matmul)
+            assert near(grads[0], dx_want), (name, matmul)
+            assert matmul is np.matmul or np.array_equal(grads[0], dx_want), name
+            assert all(near(a, b) for a, b in zip(grads[1:], grads_want[1:])), (name, matmul)
+    ad._product = blas_product
+
+
+def padding():
+    """Three more steps of random non-zero padding change nothing, on any BLAS thread count."""
+    rng = np.random.default_rng(8)
+    lengths = np.maximum(1, rng.poisson(11, size=15)).tolist()
+    x, params, g = full_size(rng, lengths, extra_steps=3)
+    u, grads = packed(x[:, : max(lengths)], lengths, params, g)
+    u_pad, grads_pad = packed(x, lengths, params, g)
+    assert np.array_equal(u_pad, u)
+    assert np.array_equal(grads_pad[0][:, : max(lengths)], grads[0])
+    real = np.arange(x.shape[1]) < np.asarray(lengths)[:, None]
+    assert np.all(grads_pad[0][~real] == 0.0) and np.all(grads_pad[0][real] != 0.0)
+    assert np.array_equal(grads_pad[2], grads[2]) and np.array_equal(grads_pad[4], grads[4])
+    assert near(grads_pad[1], grads[1]) and near(grads_pad[3], grads[3])
+
+
+if __name__ == "__main__":
+    {"oracle": oracle, "padding": padding}[sys.argv[1]]()

@@ -1,9 +1,12 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,8 +503,8 @@ def directions_on_threads(monkeypatch):
     # reverse marks the backward direction.
     runs, pooled = [], ad._pooled_lstm
 
-    def spy(xs, real, w, b, reverse):
-        u, rule = pooled(xs, real, w, b, reverse)
+    def spy(xp, sizes, w, b, reverse):
+        u, rule = pooled(xp, sizes, w, b, reverse)
 
         def spy_rule(g):
             runs.append(("bptt", reverse, threading.current_thread().name))
@@ -527,13 +530,15 @@ def test_bilstm_max_threaded_equals_two_serial_directions(monkeypatch):
     set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
     x, lengths, params, r = full_size_window(seed=5)
     # Oracle: the two directions called one after the other on this thread.
-    xs = x.data.transpose(1, 0, 2)
-    real = (np.arange(x.shape[1])[:, None] < np.asarray(lengths))[:, :, None]
-    u_fwd, fwd_rule = ad._pooled_lstm(xs, real, params[0].data, params[1].data, False)
-    u_bwd, bwd_rule = ad._pooled_lstm(xs, real, params[2].data, params[3].data, True)
-    dx_fwd, dw_fwd, db_fwd = fwd_rule(r[:, :256])
-    dx_bwd, dw_bwd, db_bwd = bwd_rule(r[:, 256:])
-    want = [(dx_fwd + dx_bwd).transpose(1, 0, 2), dw_fwd, db_fwd, dw_bwd, db_bwd]
+    order, sizes, rows, times = ad._pack(np.asarray(lengths))
+    xp, g = x.data[rows, times], r[order]
+    u_fwd, fwd_rule = ad._pooled_lstm(xp, sizes, params[0].data, params[1].data, False)
+    u_bwd, bwd_rule = ad._pooled_lstm(xp, sizes, params[2].data, params[3].data, True)
+    dx_fwd, dw_fwd, db_fwd = fwd_rule(g[:, :256])
+    dx_bwd, dw_bwd, db_bwd = bwd_rule(g[:, 256:])
+    dx = np.zeros(x.shape)
+    dx[rows, times] = dx_fwd + dx_bwd
+    want = [dx, dw_fwd, db_fwd, dw_bwd, db_bwd]
 
     runs = directions_on_threads(monkeypatch)
     u, grads = bilstm_max_and_grads(x, lengths, params, r)
@@ -542,7 +547,7 @@ def test_bilstm_max_threaded_equals_two_serial_directions(monkeypatch):
     assert len(runs) == 4 and threads["forward", False] == threads["bptt", False] == main
     assert threads["forward", True] == threads["bptt", True] != main
     assert [t.name for t in threading.enumerate()].count(threads["bptt", True]) == 1
-    assert np.array_equal(u, np.concatenate([u_fwd, u_bwd], axis=1))
+    assert np.array_equal(u[order], np.concatenate([u_fwd, u_bwd], axis=1))
     for got, expected in zip(grads, want):
         assert np.array_equal(got, expected)
 
@@ -596,3 +601,26 @@ def test_forked_child_finishes_a_threaded_bilstm_max(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's bilstm_max did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def run_with_blas_threads(threads, check):
+    # OpenBLAS takes its thread count when numpy loads it, so a check that
+    # needs a given count runs in a child process of its own.
+    src = str(Path(ad.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OMP_NUM_THREADS", None)
+    script = Path(__file__).with_name("blas_thread_checks.py")
+    done = subprocess.run([sys.executable, str(script), check], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_packed_bilstm_max_matches_the_padded_encoder_under_one_blas_thread():
+    run_with_blas_threads(1, "oracle")
+
+
+def test_bilstm_max_full_size_gradients_ignore_nonzero_trailing_padding():
+    # Two BLAS threads: at the padded encoder, OpenBLAS's threaded GEMM rounded
+    # some dx entries differently once padding steps added rows to the product.
+    run_with_blas_threads(2, "padding")

@@ -627,6 +627,38 @@ def test_train_loss_trends_down_on_the_synthetic_set():
     assert losses[-1] < losses[0]
 
 
+def test_token_batches_cut_longest_first_runs_at_the_cap():
+    assert list(tr._token_batches([3, 5, 1, 5, 9, 12], 10)) == [[5], [4], [1, 3], [0, 2]]
+    assert list(tr._token_batches([], 10)) == []
+
+
+@pytest.mark.parametrize("variant", ["sa-bilstm", "bilstm"])
+def test_infer_equals_forward_window_per_window(monkeypatch, variant):
+    # Enough ragged windows for several packed batches, a one-utterance window,
+    # and an utterance longer than the cap, which is encoded alone.
+    _, vocab, cfg, table = tiny_world(variant=variant)
+    params = m.ModelParams.init(cfg, table, seed=1)
+    rng = np.random.default_rng(5)
+    utterance = lambda k: rng.integers(1, len(vocab), size=k).tolist()  # no PAD_ID
+    windows = [
+        [utterance(rng.integers(1, 30)) for _ in range(rng.integers(1, cfg.window_size + 1))]
+        for _ in range(40)
+    ]
+    windows[7] = [utterance(6)]
+    windows[20][1] = utterance(tr.INFER_BATCH_TOKENS + 20)
+    want = np.concatenate([m.forward_window(ids, params, cfg).data for ids in windows])
+    batches, encode = [], m.encode_sentence
+    monkeypatch.setattr(m, "encode_sentence", lambda ids, *a: batches.append(ids) or encode(ids, *a))
+    got = tr.infer(windows, params, cfg)
+    assert len(batches) >= 4
+    assert sorted(len(ids) for batch in batches for ids in batch) == sorted(
+        len(ids) for w in windows for ids in w
+    )
+    assert all(sum(map(len, b)) <= tr.INFER_BATCH_TOKENS for b in batches if len(b) > 1)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_cli_predict_labels_tally_to_evaluate_dataset(tmp_path):
     ds, vocab, cfg, table = tiny_world()
     assert any(len(d) > cfg.window_size for d in ds.dialogues)
