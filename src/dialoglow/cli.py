@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -280,13 +281,14 @@ def _load_model(args):
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
     if not vocab_path.exists():
         raise CliError(f"vocab file not found: {vocab_path} (pass --vocab)")
-    file_hash = pp.vocab_sha256(vocab_path)
+    blob = vocab_path.read_bytes()  # one read: the bytes hashed are the bytes loaded
+    file_hash = hashlib.sha256(blob).hexdigest()
     if file_hash != ckpt.vocab_sha256:
         raise CliError(
             f"vocab hash mismatch: checkpoint was trained with {ckpt.vocab_sha256[:12]}..., "
             f"{vocab_path} hashes to {file_hash[:12]}..."
         )
-    vocab = pp.Vocab.load(vocab_path)
+    vocab = pp.Vocab.from_bytes(blob)
     cfg, params = tr.params_from_checkpoint(ckpt)
     if params.embedding.vocab_size != len(vocab):
         raise tr.CheckpointError(

@@ -158,8 +158,12 @@ class Vocab:
 
     @classmethod
     def load(cls, path: "str | Path") -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        return cls.from_bytes(Path(path).read_bytes())
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "Vocab":
+        """The vocab whose saved file holds ``blob``."""
+        return cls(blob.decode("utf-8").splitlines())
 
 
 def build_vocab(corpus: Iterable[Iterable[str]], min_count: int = 1) -> Vocab:

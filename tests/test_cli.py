@@ -1,4 +1,7 @@
 import json
+import pathlib
+import struct
+import zlib
 
 import pytest
 
@@ -344,6 +347,53 @@ def test_predict_stdout_mode_prints_pure_json(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0][0]["predicted_emotion"]
+
+
+def write_into_tensor(path, name, index, value):
+    """Set entry ``index`` of tensor ``name`` in a saved checkpoint, then reseal its CRC."""
+    blob = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    entry = next(e for e in json.loads(blob[16 : 16 + hlen])["tensors"] if e["name"] == name)
+    struct.pack_into("<d", blob, 16 + hlen + entry["offset"] + 8 * index, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]))
+    path.write_bytes(bytes(blob))
+
+
+# A CRC-valid file can still hold a NaN or an inf: the CRC guards the bytes, not their values.
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize(
+    "name, index, value",
+    [("out.b", 3, float("nan")), ("embedding", 2 * 8 + 5, float("inf"))],  # row 2: not <pad>
+    ids=["nan-in-out.b", "inf-in-embedding"],
+)
+def test_non_finite_checkpoint_value_exits_2_naming_the_tensor(tmp_path, capsys, command, name,
+                                                               index, value):
+    rc, out = run_train(tmp_path)
+    ckpt = out / "checkpoint.bin"
+    write_into_tensor(ckpt, name, index, value)
+    capsys.readouterr()
+    assert cli.main([command, str(ckpt), str(tmp_path / "train.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and repr(name) in err
+
+
+def test_serving_reads_the_vocab_file_once(tmp_path, monkeypatch):
+    # The bytes whose hash matches the checkpoint are the bytes the vocab is built from.
+    rc, out = run_train(tmp_path)
+    reads = []
+    read_bytes, read_text = pathlib.Path.read_bytes, pathlib.Path.read_text
+
+    def counted(read):
+        def wrapper(self, *args, **kwargs):
+            if self.name == "vocab.txt":
+                reads.append(read.__name__)
+            return read(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted(read_bytes))
+    monkeypatch.setattr(pathlib.Path, "read_text", counted(read_text))
+    assert cli.main(["eval", str(out / "checkpoint.bin"), str(tmp_path / "train.json")]) == 0
+    assert reads == ["read_bytes"]
 
 
 # --- input encoding -----------------------------------------------------------

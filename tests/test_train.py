@@ -3,11 +3,18 @@ import hashlib
 import json
 import math
 import os
+import signal
 import struct
+import sys
+import time
+import warnings
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialoglow import autodiff as ad
 from dialoglow import cli
@@ -19,6 +26,7 @@ from dialoglow import synthetic
 from dialoglow import train as tr
 from dialoglow.corpus import EmotionLabel
 from helpers import project, serialize_dataset
+import whole_file_checkpoint
 
 
 def tiny_model_cfg(**over):
@@ -504,6 +512,170 @@ def test_interrupted_writes_keep_the_previous_files(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         pp.Vocab(vocab.tokens[:-1]).save(vocab_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# An unclosed file warns when it is collected; a warning there reaches pytest as an
+# unraisable exception, so both are errors in the reader's tests.
+closes_its_file = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+def load_outcome(load, path):
+    """What ``load`` makes of ``path``: the checkpoint or its CheckpointError message."""
+    try:
+        return load(path)
+    except tr.CheckpointError as exc:
+        return str(exc)
+
+
+def assert_loads_like_the_oracle(path):
+    """``load_checkpoint`` returns what the whole-file reader returns, or its message word for word.
+
+    The one intended difference: a tensor holding a non-finite value is refused.
+    """
+    want = load_outcome(whole_file_checkpoint.load_checkpoint, path)
+    got = load_outcome(tr.load_checkpoint, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    nonfinite = [name for name, arr in want.tensors.items() if not np.isfinite(arr).all()]
+    if nonfinite:
+        assert got == f"{path}: tensor {nonfinite[0]!r} holds non-finite values"
+        return
+    assert not isinstance(got, str), got
+    assert (got.model_config, got.vocab_sha256, got.metadata) == (
+        want.model_config, want.vocab_sha256, want.metadata
+    )
+    assert list(got.tensors) == list(want.tensors)
+    for name, arr in want.tensors.items():
+        assert np.array_equal(got.tensors[name], arr), name
+        assert got.tensors[name].flags.owndata and got.tensors[name].flags.writeable, name
+
+
+def seal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    _, path, *_ = saved_checkpoint(tmp_path_factory.mktemp("small"))
+    return path, path.read_bytes()
+
+
+corruptions = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+)
+
+
+@closes_its_file
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corruption=corruptions, reseal=st.booleans())
+def test_corrupt_checkpoint_loads_like_the_whole_file_reader(small_checkpoint, corruption, reseal):
+    # reseal recomputes the CRC over the damaged file, so the damage reaches the
+    # header and tensor checks behind it.
+    path, blob = small_checkpoint
+    kind, *args = corruption
+    if kind == "flip":
+        at = args[0] % len(blob)
+        bad = blob[:at] + bytes([blob[at] ^ args[1]]) + blob[at + 1 :]
+    elif kind == "truncate":
+        bad = blob[: args[0] % len(blob)]
+    else:
+        bad = blob + args[0]
+    if reseal and len(bad) >= 4:
+        bad = seal(bad[:-4])
+    damaged = path.with_name("damaged.ckpt")
+    damaged.write_bytes(bad)
+    assert_loads_like_the_oracle(damaged)
+
+
+@closes_its_file
+@pytest.mark.parametrize("layout", ["reversed", "gaps"])
+def test_hand_built_tensor_directory_loads_like_the_whole_file_reader(tmp_path, layout):
+    # No writer here lays tensors out like this: reversed, the payload runs in
+    # the directory's reverse order; with gaps, 8 stray bytes precede every tensor.
+    ckpt, path, *_ = saved_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    payload = bytearray()
+    entries = header["tensors"][::-1] if layout == "reversed" else header["tensors"]
+    for entry in entries:
+        if layout == "gaps":
+            payload += b"\xff" * 8
+        entry["offset"] = len(payload)
+        payload += np.ascontiguousarray(ckpt.tensors[entry["name"]], dtype="<f8").tobytes()
+    hbytes = json.dumps(header).encode("utf-8")
+    path.write_bytes(seal(blob[:8] + struct.pack("<Q", len(hbytes)) + hbytes + bytes(payload)))
+    assert_loads_like_the_oracle(path)
+    loaded = tr.load_checkpoint(path)
+    assert list(loaded.tensors) == list(ckpt.tensors)
+    for name, arr in ckpt.tensors.items():
+        assert np.array_equal(loaded.tensors[name], arr), name
+
+
+@closes_its_file
+@pytest.mark.parametrize("where", ["out.b", "embedding"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_tensor_value_fails_naming_the_tensor(tmp_path, where, value):
+    ckpt, path, *_ = saved_checkpoint(tmp_path)
+    ckpt.tensors[where].reshape(-1)[-1] = value
+    tr.save_checkpoint(ckpt, path)
+    with pytest.raises(tr.CheckpointError, match=f"tensor '{where}' holds non-finite values"):
+        tr.load_checkpoint(path)
+
+
+def test_small_chunks_loaded_from_several_threads_keep_every_tensor(tmp_path, monkeypatch):
+    # Chunks of 24 bytes: most tensors span several, and chunk ends fall inside
+    # them. Eight loads on four threads interleave their checks in the worker's queue.
+    monkeypatch.setattr(tr, "LOAD_CHUNK_BYTES", 24)
+    ckpt, path, *_ = saved_checkpoint(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            loads = [callers.submit(tr.load_checkpoint, path) for _ in range(8)]
+            loaded = [done.result(timeout=60) for done in loads]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in loaded:
+        for name, arr in ckpt.tensors.items():
+            assert np.array_equal(got.tensors[name], arr), name
+    ckpt.tensors["out.w"].reshape(-1)[4] = math.nan
+    tr.save_checkpoint(ckpt, path)
+    with pytest.raises(tr.CheckpointError, match="'out.w'"):
+        tr.load_checkpoint(path)
+
+
+def test_forked_child_loads_a_checkpoint(tmp_path):
+    ckpt, path, *_ = saved_checkpoint(tmp_path)
+    tr.load_checkpoint(path)  # the parent's worker thread is running when it forks
+    parent_pool = ad._POOL
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking a process that runs threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        code = 1
+        try:
+            assert ad._POOL is not parent_pool
+            loaded = tr.load_checkpoint(path)
+            assert all(np.array_equal(loaded.tensors[k], v) for k, v in ckpt.tensors.items())
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's load_checkpoint did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # --- the loop ---------------------------------------------------------------
