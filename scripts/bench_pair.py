@@ -14,8 +14,11 @@ CPU seconds per attempted operation and their median pair ratio (these
 show whether the machine or the code moved) and, per metric, both sides'
 medians, the parent's quartiles and their spread relative to its
 median (comparable to the metric's bound), the median of the per-pair ratios
-(change / parent) and how many pairs the change won, judged by the metrics'
-`better` fields in that file.
+(change / parent), how many pairs the change won, judged by the metrics'
+`better` fields in that file, and the verdict that the metric's `bound` there
+gives (see `verdict`). Pairs whose two runs' steal shares differ by more than
+STEAL_GAP are listed per workload: the machine, not the code, may have moved
+them.
 """
 
 import argparse
@@ -31,6 +34,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STEAL_GAP = 0.05  # a pair's runs whose steal shares differ by more than this are flagged
 
 
 def cpu_ticks():
@@ -82,16 +86,40 @@ def quartiles(values: list) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(runs: list, better: dict) -> dict:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """One metric's verdict from its runs, parent[i] and change[i] making pair i,
+    with bound a share of the parent's median, checked in this order:
+    "worse" when the change's median is worse than the parent's by more than
+    bound; "unresolved" when the parent's quartile spread exceeds bound, unless
+    every change run beats every parent run; "gain" when the change wins at
+    least 9/10 of the pairs and the medians differ by more than the parent's
+    quartile spread; else "within bound"."""
+    sign = 1 if better == "higher" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    limit = bound * abs(p_med)
+    if sign * (p_med - c_med) > limit:
+        return "worse"
+    if q3 - q1 > limit and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+        return "gain"
+    return "within bound"
+
+
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
     """Each side's failed operations, each side's median CPU seconds per
-    attempted operation and their median pair ratio, and per metric: each
-    side's median, the parent's quartiles and their spread relative to its
-    median (as the metrics' bounds are), the median pair ratio and the
-    change's wins."""
-    pairs, cpu = {}, {}
+    attempted operation and their median pair ratio, the pairs whose steal
+    shares differ by more than STEAL_GAP, and per metric: each side's median,
+    the parent's quartiles and their spread relative to its median (as the
+    metrics' bounds are), the median pair ratio, the change's wins and the
+    verdict."""
+    pairs, cpu, steal = {}, {}, {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
         cpu.setdefault(run["pair"], {})[run["side"]] = run["cpu_s"] / run["result"]["attempted"]
+        steal.setdefault(run["pair"], {})[run["side"]] = run["steal_share"]
     metrics = {}
     for name, first in pairs[1]["parent"].items():
         parent = [p["parent"][name]["value"] for p in pairs.values()]
@@ -106,11 +134,16 @@ def summarize(runs: list, better: dict) -> dict:
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             row["change_better_pairs"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            if name in bounds:
+                row["verdict"] = verdict(parent, change, better[name], bounds[name])
         metrics[name] = row
     failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side) for side in SIDES}
     cpu_per_op = {side: statistics.median(p[side] for p in cpu.values()) for side in SIDES}
     cpu_per_op["ratio"] = statistics.median(p["change"] / p["parent"] for p in cpu.values())
-    return {"failed": failed, "cpu_s_per_op": cpu_per_op, "metrics": metrics}
+    flagged = [pair for pair, s in steal.items() if None not in s.values()
+               and abs(s["change"] - s["parent"]) > STEAL_GAP]
+    return {"failed": failed, "cpu_s_per_op": cpu_per_op, "steal_flagged_pairs": flagged,
+            "metrics": metrics}
 
 
 def main():
@@ -125,6 +158,7 @@ def main():
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {
         "pairs": args.pairs,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -142,19 +176,24 @@ def main():
                 print(f"{workload} pair {pair} {side}: correct={run['result']['correct']} "
                       f"failed={run['result']['failed']} cpu={run['cpu_s']:.1f} s "
                       f"({time.time() - start:.0f} s)", flush=True)
-        report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+        report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better, bounds)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, body in report["workloads"].items():
         summary = body["summary"]
         cpu = summary["cpu_s_per_op"]
         print(f"{workload:9s} failed operations: parent {summary['failed']['parent']}, "
               f"change {summary['failed']['change']}; CPU s per operation "
-              f"{cpu['parent']:.4g} -> {cpu['change']:.4g} ratio {cpu['ratio']:.3f}")
+              f"{cpu['parent']:.4g} -> {cpu['change']:.4g} ratio {cpu['ratio']:.3f}; "
+              f"pairs whose steal differs by more than {STEAL_GAP:.0%}: "
+              f"{summary['steal_flagged_pairs'] or 'none'}")
         for name, row in summary["metrics"].items():
+            judged = row.get("verdict", "-")
+            if judged == "unresolved":
+                judged += f" (CPU s per operation ratio {cpu['ratio']:.3f})"
             print(f"{workload:9s} {name:22s} {row['parent']:>10.4g} -> {row['change']:>10.4g} "
                   f"{row['unit']:6s} ratio {row.get('ratio', float('nan')):.3f} "
                   f"wins {row.get('change_better_pairs', '-')}/{args.pairs} "
-                  f"parent spread {row.get('parent_spread', float('nan')):.3f}")
+                  f"parent spread {row.get('parent_spread', float('nan')):.3f} {judged}")
 
 
 if __name__ == "__main__":

@@ -111,18 +111,21 @@ ADAM_SLICE = 16384
 class AdamState:
     """Step count and first/second moments, keyed like the parameter dict.
 
-    ``moved[name]`` holds the sorted ids of the rows (entries, for a 0-d or
-    1-d parameter) that have ever had a gradient. Every other row still has
-    zero moments, so Adam's step there is exactly 0.0 and ``adam_step``
-    leaves it alone.
+    ``moved[name]`` holds the ids of the rows (entries, for a 0-d or 1-d
+    parameter) that have ever had a gradient, in the order they first had
+    one, and ``slot[name][i]`` is where row i sits in it (-1 before it
+    moves). ``m[name]`` and ``v[name]`` hold one row of moments per entry of
+    ``moved[name]``, in the same order, so they take 2 x moved rows x width
+    floats. Every other row has zero moments, so Adam's step there is
+    exactly 0.0 and ``adam_step`` leaves it alone.
     """
 
     def __init__(self, named_params: dict):
         self.t = 0
-        # np.zeros maps fresh zero pages; only the rows that move are ever written.
-        self.m = {k: np.zeros(p.shape) for k, p in named_params.items()}
-        self.v = {k: np.zeros(p.shape) for k, p in named_params.items()}
+        self.m = {k: np.zeros((0, math.prod(p.shape[1:]))) for k, p in named_params.items()}
+        self.v = {k: np.zeros((0, math.prod(p.shape[1:]))) for k, p in named_params.items()}
         self.moved = {k: np.zeros(0, dtype=np.intp) for k in named_params}
+        self.slot = {k: np.full(p.shape[0] if p.ndim else 1, -1) for k, p in named_params.items()}
         self.scratch = np.empty((3, ADAM_SLICE))
 
 
@@ -169,16 +172,34 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
             raise ValueError(f"non-finite gradient for {name!r}")
         if not (p.data.flags.c_contiguous and p.data.flags.writeable):
             p.data = p.data.copy()  # the update writes through reshaped views of p.data
-        p2, m2, v2 = _as_rows(p.data), _as_rows(state.m[name]), _as_rows(state.v[name])
-        n, width = p2.shape
-        moved = state.moved[name]
+        p2 = _as_rows(p.data)
+        width = p2.shape[1]
+        moved, slot = state.moved[name], state.slot[name]
         if sparse:
-            moved = state.moved[name] = np.union1d(moved, g.ids)
-            at = np.searchsorted(moved, g.ids)  # where each gradient row sits in moved
+            new = g.ids[slot[g.ids] < 0]
         elif g is not None:
-            if len(moved) < n:
-                moved = state.moved[name] = np.arange(n)
+            new = np.flatnonzero(slot < 0)
             g2 = _as_rows(np.ascontiguousarray(g))
+        if g is not None and len(new):
+            # Rows moving for the first time join at the end, with zero moments.
+            # The moments' buffers grow to twice their rows when full, so most
+            # steps add rows without copying the rows that moved before.
+            old, total = len(moved), len(moved) + len(new)
+            slot[new] = np.arange(old, total)
+            moved = state.moved[name] = np.concatenate((moved, new))
+            for moments in (state.m, state.v):
+                live = moments[name]  # a view of the first rows of its buffer, once grown
+                store = live if live.base is None else live.base
+                if len(store) < total:
+                    store = np.empty((max(total, 2 * len(store)), width))
+                    store[:old] = live
+                store[old:total] = 0.0
+                moments[name] = store[:total]
+        if sparse:
+            at = slot[g.ids]  # where each gradient row sits in moved
+            order = np.argsort(at)
+            at = at[order]
+        m2, v2 = state.m[name], state.v[name]
         per = max(1, ADAM_SLICE // width)
         if state.scratch.shape[1] < per * width:
             state.scratch = np.empty((3, per * width))
@@ -186,19 +207,20 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
             ids = moved[lo : lo + per]
             k = len(ids)
             # Runs of consecutive rows are updated through views, the rest through copies.
-            rows = slice(ids[0], ids[0] + k) if ids[-1] - ids[0] == k - 1 else ids
+            run = ids[-1] - ids[0] == k - 1 and (np.diff(ids) == 1).all()
+            rows = slice(ids[0], ids[0] + k) if run else ids
             gs, t1, t2 = (buf[: k * width].reshape(k, width) for buf in state.scratch)
             if g is None or sparse:
                 gs.fill(0.0)
                 if sparse:
                     i, j = np.searchsorted(at, (lo, lo + k))
-                    gs[at[i:j] - lo] = g.rows[i:j]
+                    gs[at[i:j] - lo] = g.rows[order[i:j]]
             else:
                 gs = g2[rows]
-            ps, ms, vs = p2[rows], m2[rows], v2[rows]
-            _adam_rows(ps, ms, vs, gs, lr, bc1, bc2, t1, t2)
+            ps = p2[rows]
+            _adam_rows(ps, m2[lo : lo + k], v2[lo : lo + k], gs, lr, bc1, bc2, t1, t2)
             if rows is ids:
-                p2[ids], m2[ids], v2[ids] = ps, ms, vs
+                p2[ids] = ps
 
 
 def clip_gradients(grads: dict, limit: float) -> float:

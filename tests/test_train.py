@@ -7,6 +7,7 @@ import signal
 import struct
 import sys
 import time
+import tracemalloc
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -214,6 +215,17 @@ def textbook_adam(p, m, v, g, t, lr):
     return p - lr * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS), m, v
 
 
+def assert_moments_are_the_dense_ones_on_moved_rows(state, k, m, v, where):
+    """state's moments of k, one row per entry of state.moved[k], equal the
+    rows of the dense m and v (shaped like the parameter) that moved, and the
+    dense ones are exactly 0.0 on every row that never moved."""
+    moved = state.moved[k]
+    for got, dense in ((state.m[k], m), (state.v[k], v)):
+        dense = np.reshape(dense, (len(dense) if np.ndim(dense) else 1, -1))
+        assert np.array_equal(got, dense[moved]), (k, where)
+        assert (np.delete(dense, moved, axis=0) == 0.0).all(), (k, where)
+
+
 def test_adam_steps_equal_the_textbook_expressions_bit_for_bit():
     rng = np.random.default_rng(6)
     shapes = {"s": (), "b": (5,), "w": (70, 300)}  # w spans two update slices
@@ -229,45 +241,74 @@ def test_adam_steps_equal_the_textbook_expressions_bit_for_bit():
         for k, sh in shapes.items():
             want[k] = textbook_adam(*want[k], grads.get(k, np.zeros(sh)), t, lr)
             assert np.array_equal(named[k].data, want[k][0]), (k, t)
-            assert np.array_equal(state.m[k], want[k][1]), (k, t)
-            assert np.array_equal(state.v[k], want[k][2]), (k, t)
+            assert_moments_are_the_dense_ones_on_moved_rows(state, k, *want[k][1:], t)
     assert state.t == 4
 
 
 def test_row_gradient_adam_equals_dense_adam():
     rng = np.random.default_rng(8)
-    weights = rng.normal(size=(7, 3))
-    weights[pp.PAD_ID] = 0.0
-    sides = []
-    for _ in range(2):
-        named = {"embedding": ad.Tensor(weights.copy(), requires_grad=True),
-                 "w": ad.Tensor(np.ones(4), requires_grad=True)}
-        sides.append((named, tr.AdamState(named)))
-    # The touched rows change between steps, ids repeat, the pad id appears,
-    # and the third step has no embedding gradient at all.
-    steps = [[[1, 2, 2], [pp.PAD_ID, 5, 1]], [[3, pp.PAD_ID, 5]], None, [[2, 6, 6, 1]]]
-    for t, ids in enumerate(steps):
-        grads = {"w": rng.normal(size=4)}
-        if ids is not None:
-            probe = ad.Tensor(np.zeros((7, 3)), requires_grad=True)
-            r = rng.normal(size=(len(ids), len(ids[0]), 3))
-            with ad.Tape() as tape:
-                picked = ad.gather_rows(probe, ids, stop_grad_rows=(pp.PAD_ID,))
-                loss = project(picked, r)
-            grads["embedding"] = ad.backward(tape, loss)[probe]
-            assert isinstance(grads["embedding"], ad.RowGrad)
-        (rows, rows_state), (dense, dense_state) = sides
-        tr.adam_step(rows, grads, rows_state, lr=0.01)
-        dense_grads = {k: np.asarray(g) for k, g in grads.items()}
-        tr.adam_step(dense, dense_grads, dense_state, lr=0.01)
-        for k in rows:
-            assert np.array_equal(rows[k].data, dense[k].data), (k, t)
-            assert np.array_equal(rows_state.m[k], dense_state.m[k]), (k, t)
-            assert np.array_equal(rows_state.v[k], dense_state.v[k]), (k, t)
-    table = sides[0][0]["embedding"].data
-    assert np.array_equal(table[pp.PAD_ID], np.zeros(3))
-    assert np.array_equal(table[4], weights[4])  # never looked up, never moved
-    assert sides[0][1].moved["embedding"].tolist() == [1, 2, 3, 5, 6]
+    # Each case: the table's shape, the ids each step looks up (None: no
+    # embedding gradient that step) and the rows that have moved at the end.
+    # In the first, the touched rows change, ids repeat and the pad id appears. The
+    # second is wider than one update slice (tr.ADAM_SLICE // 300 = 54 rows):
+    # rows join below, between and above the rows already moved, one step adds
+    # no new row, and the last moves every row but the pad row. In the third,
+    # rows 1-4 move in the order 1, 3, 2, 4: one slice that spans a run of
+    # consecutive ids without holding them in order.
+    cases = [
+        ((7, 3), [[[1, 2, 2], [pp.PAD_ID, 5, 1]], [[3, pp.PAD_ID, 5]], None, [[2, 6, 6, 1]]],
+         [1, 2, 3, 5, 6]),
+        ((5, 2), [[[1, 3]], [[2, 4]], None, [[3, 1]]], [1, 2, 3, 4]),
+        ((130, 300), [[[60, 62, 64], [70, 90, pp.PAD_ID]], [[5, 10, 62]], [[63, 65, 80]], None,
+                      [[120, 129, 129]], [[5, 60, 129]], [list(range(1, 130))]],
+         list(range(1, 130))),
+    ]
+    for shape, steps, moved in cases:
+        weights = rng.normal(size=shape)
+        weights[pp.PAD_ID] = 0.0
+        sides = []
+        for _ in range(2):
+            named = {"embedding": ad.Tensor(weights.copy(), requires_grad=True),
+                     "w": ad.Tensor(np.ones(4), requires_grad=True)}
+            sides.append((named, tr.AdamState(named)))
+        for t, ids in enumerate(steps):
+            grads = {"w": rng.normal(size=4)}
+            if ids is not None:
+                probe = ad.Tensor(np.zeros(shape), requires_grad=True)
+                r = rng.normal(size=(len(ids), len(ids[0]), shape[1]))
+                with ad.Tape() as tape:
+                    picked = ad.gather_rows(probe, ids, stop_grad_rows=(pp.PAD_ID,))
+                    loss = project(picked, r)
+                grads["embedding"] = ad.backward(tape, loss)[probe]
+                assert isinstance(grads["embedding"], ad.RowGrad)
+            (rows, rows_state), (dense, dense_state) = sides
+            tr.adam_step(rows, grads, rows_state, lr=0.01)
+            dense_grads = {k: np.asarray(g) for k, g in grads.items()}
+            tr.adam_step(dense, dense_grads, dense_state, lr=0.01)
+            for k in rows:
+                assert np.array_equal(rows[k].data, dense[k].data), (k, shape, t)
+                assert_moments_are_the_dense_ones_on_moved_rows(
+                    rows_state, k, dense_state.m[k], dense_state.v[k], (shape, t))
+        table = sides[0][0]["embedding"].data
+        assert np.array_equal(table[pp.PAD_ID], np.zeros(shape[1]))
+        assert sorted(sides[0][1].moved["embedding"].tolist()) == moved
+        never = np.setdiff1d(np.arange(1, shape[0]), moved)
+        assert np.array_equal(table[never], weights[never])  # never looked up, never moved
+
+
+def test_adam_state_grows_with_the_rows_that_move_not_with_the_table():
+    table = ad.Tensor(np.zeros((40_000, 300)), requires_grad=True)  # 96 MB
+    grad = ad.RowGrad(table.shape, np.array([7, 8, 39_000]), np.ones((3, 300)))
+    tracemalloc.start()
+    try:
+        state = tr.AdamState({"embedding": table})
+        tr.adam_step({"embedding": table}, {"embedding": grad}, state, lr=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Dense moments would be two more 96 MB arrays.
+    assert peak < 4 * 2**20, f"adam_step peaked at {peak / 2**20:.1f} MB"
+    assert state.m["embedding"].shape == state.v["embedding"].shape == (3, 300)
 
 
 def test_clip_gradients_on_row_and_dense_gradients_equals_clipping_dense_forms():
