@@ -255,6 +255,8 @@ def cmd_train(args) -> int:
     else:
         table = emb.random_table(vocab, mcfg.embed_dim, seed=tcfg.seed, trainable=not args.freeze_embeddings)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails here, not after the run
     on_epoch = None if args.quiet else _epoch_printer
     try:
         result = tr.train(train_ds, vocab, table, mcfg, tcfg, val_ds=val_ds, on_epoch=on_epoch)
@@ -262,8 +264,6 @@ def cmd_train(args) -> int:
         # optimizer fail-fast (non-finite loss/gradient) is a runtime failure
         raise CliError(f"training aborted: {exc}", code=EXIT_RUNTIME)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
     tr.save_checkpoint(result.best, out / "checkpoint.bin")
     _write_json(out / "history.json", {**_provenance(result.best), "history": result.history})
@@ -463,6 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _os_error_text(exc: OSError) -> str:
+    """``<path>: <reason>``; a two-path call (a rename) names its target."""
+    path = exc.filename2 or exc.filename
+    return f"{path}: {exc.strerror}" if path is not None and exc.strerror else str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -476,6 +482,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (IsADirectoryError, NotADirectoryError, PermissionError, FileExistsError) as exc:
+        # A path on the command line that names the wrong kind of file, or one we may not use.
+        print(f"error: {_os_error_text(exc)}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: {_os_error_text(exc)}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

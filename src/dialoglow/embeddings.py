@@ -50,19 +50,15 @@ class EmbeddingTable:
 
 
 def _fill(vocab: Vocab, dim: int, seed: int, found: dict[int, np.ndarray]):
-    rng = seeded_rng(seed)
+    """The table: found rows (never a special token's) as given, the pad row
+    zero, every other row drawn. One draw covers the drawn rows in vocab
+    order, which gives the same numbers as one draw per row."""
     weights = np.zeros((len(vocab), dim))
-    oov = 0
-    for i, tok in enumerate(vocab.tokens):
-        if i == PAD_ID:
-            continue
-        row = None if tok in SPECIALS else found.get(i)
-        if row is None:
-            weights[i] = rng.uniform(-0.05, 0.05, size=dim)
-            oov += 1
-        else:
-            weights[i] = row
-    return weights, oov
+    drawn = [i for i in range(len(vocab)) if i != PAD_ID and i not in found]
+    weights[drawn] = seeded_rng(seed).uniform(-0.05, 0.05, size=(len(drawn), dim))
+    for i, row in found.items():
+        weights[i] = row
+    return weights, len(drawn)
 
 
 def load_pretrained(

@@ -104,7 +104,7 @@ def weighted_cross_entropy(logits, golds, class_weights) -> ad.Tensor:
 
 
 # Entries per slice of the Adam update: a slice of the parameter, its moments
-# and two scratch buffers stay in a core's L2 cache across the update's passes.
+# and the update's temporaries stay in a core's L2 cache across its passes.
 ADAM_SLICE = 16384
 
 
@@ -126,30 +126,11 @@ class AdamState:
         self.v = {k: np.zeros((0, math.prod(p.shape[1:]))) for k, p in named_params.items()}
         self.moved = {k: np.zeros(0, dtype=np.intp) for k in named_params}
         self.slot = {k: np.full(p.shape[0] if p.ndim else 1, -1) for k, p in named_params.items()}
-        self.scratch = np.empty((3, ADAM_SLICE))
 
 
 def _as_rows(a: np.ndarray) -> np.ndarray:
     """A 2-d view of a C-contiguous array: one row per leading index (one row for 0-d)."""
     return a.reshape(a.shape[0] if a.ndim else 1, -1)
-
-
-def _adam_rows(p, m, v, g, lr, bc1, bc2, t1, t2) -> None:
-    """The textbook Adam expressions on equal-shaped arrays, in place, op for op."""
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
-    np.add(m, t1, out=m)  # m = b1 * m + (1 - b1) * g
-    np.multiply(g, g, out=t1)
-    np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.add(v, t1, out=v)  # v = b2 * v + (1 - b2) * (g * g)
-    np.divide(m, bc1, out=t1)
-    np.multiply(t1, lr, out=t1)
-    np.divide(v, bc2, out=t2)
-    np.sqrt(t2, out=t2)
-    np.add(t2, ADAM_EPS, out=t2)
-    np.divide(t1, t2, out=t1)
-    np.subtract(p, t1, out=p)  # p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
 
 def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> None:
@@ -160,7 +141,8 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
     gradient is an array or an ``ad.RowGrad``. Only the rows that have ever
     had a gradient are computed, slice by slice, with the textbook float
     ops in the textbook order, so the result is bit-identical to the dense
-    update: a row that never had a gradient would move by exactly 0.0.
+    update: a row that never had a gradient would move by exactly 0.0, and
+    a moved row without a gradient this step only decays its moments.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
@@ -201,24 +183,27 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
             at = at[order]
         m2, v2 = state.m[name], state.v[name]
         per = max(1, ADAM_SLICE // width)
-        if state.scratch.shape[1] < per * width:
-            state.scratch = np.empty((3, per * width))
         for lo in range(0, len(moved), per):
             ids = moved[lo : lo + per]
             k = len(ids)
             # Runs of consecutive rows are updated through views, the rest through copies.
             run = ids[-1] - ids[0] == k - 1 and (np.diff(ids) == 1).all()
             rows = slice(ids[0], ids[0] + k) if run else ids
-            gs, t1, t2 = (buf[: k * width].reshape(k, width) for buf in state.scratch)
-            if g is None or sparse:
-                gs.fill(0.0)
-                if sparse:
-                    i, j = np.searchsorted(at, (lo, lo + k))
-                    gs[at[i:j] - lo] = g.rows[order[i:j]]
-            else:
-                gs = g2[rows]
-            ps = p2[rows]
-            _adam_rows(ps, m2[lo : lo + k], v2[lo : lo + k], gs, lr, bc1, bc2, t1, t2)
+            ms, vs, ps = m2[lo : lo + k], v2[lo : lo + k], p2[rows]
+            ms *= ADAM_BETA1
+            vs *= ADAM_BETA2
+            # Only rows with a gradient add its term. The textbook adds
+            # (1 - b1) * 0.0 to the others, which keeps their bits: a moment
+            # is never -0.0.
+            if sparse:
+                i, j = np.searchsorted(at, (lo, lo + k))
+                here, gs = at[i:j] - lo, g.rows[order[i:j]]
+            elif g is not None:
+                here, gs = slice(None), g2[rows]
+            if g is not None:
+                ms[here] += gs * (1.0 - ADAM_BETA1)
+                vs[here] += (gs * gs) * (1.0 - ADAM_BETA2)
+            ps -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + ADAM_EPS)
             if rows is ids:
                 p2[ids] = ps
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import pathlib
 import struct
 import zlib
@@ -425,6 +427,62 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command):
     # A line-by-line read decodes in chunks: the embedding reader names no offset.
     where = "" if command == "train-embeddings" else f" at byte offset {LATIN1.index(0xE9)}"
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text{where}\n"
+
+
+@pytest.mark.parametrize("case", [
+    "eval-checkpoint", "eval-data", "eval-vocab", "predict-input", "predict-out",
+    "preprocess-data", "preprocess-out", "preprocess-out-below-a-file", "train-config",
+    "train-embeddings",
+])
+def test_path_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, case):
+    assert run_train(tmp_path)[0] == 0
+    capsys.readouterr()  # drop the training chatter
+    folder, a_file = tmp_path / "folder", tmp_path / "file.txt"
+    folder.mkdir()
+    a_file.write_text("x", encoding="utf-8")
+    data, ckpt = str(tmp_path / "train.json"), str(tmp_path / "run" / "checkpoint.bin")
+    argv, path, code = {
+        "eval-checkpoint": (["eval", str(folder), data], folder, errno.EISDIR),
+        "eval-data": (["eval", ckpt, str(folder)], folder, errno.EISDIR),
+        "eval-vocab": (["eval", ckpt, data, "--vocab", str(folder)], folder, errno.EISDIR),
+        "predict-input": (["predict", ckpt, str(folder)], folder, errno.EISDIR),
+        "predict-out": (["predict", ckpt, data, "--out", str(folder)], folder, errno.EISDIR),
+        "preprocess-data": (["preprocess", str(folder), "--out", "x"], folder, errno.EISDIR),
+        "preprocess-out": (["preprocess", data, "--out", str(a_file)], a_file, errno.EEXIST),
+        "preprocess-out-below-a-file": (
+            ["preprocess", data, "--out", str(a_file / "x")], a_file / "x", errno.ENOTDIR),
+        "train-config": (
+            ["train", data, "--out", str(tmp_path / "o"), "--config", str(folder)],
+            folder, errno.EISDIR),
+        "train-embeddings": (
+            ["train", data, "--out", str(tmp_path / "o"), "--embeddings", str(folder)],
+            folder, errno.EISDIR),
+    }[case]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(code)}\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]  # no temp file left
+
+
+def test_other_os_errors_exit_1_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def failing_read(path, split):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+
+    monkeypatch.setattr(cli, "load_dataset", failing_read)
+    data = write_corpus(tmp_path)
+    assert cli.main(["preprocess", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {data}: {os.strerror(errno.EIO)}\n"
+
+
+def test_train_with_an_out_path_it_cannot_make_exits_2_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() ran although --out cannot be made")
+
+    monkeypatch.setattr(cli.tr, "train", no_training)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    assert run_train(tmp_path, out="taken")[0] == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'taken'}: {os.strerror(errno.EEXIST)}\n"
 
 
 # --- gradcheck / misc ---------------------------------------------------------

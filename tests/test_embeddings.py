@@ -79,6 +79,31 @@ def test_freeze_flag_controls_requires_grad(tmp_path):
     assert not frozen.weights.requires_grad
 
 
+def per_row_table(vocab, dim, seed, found):
+    """The table drawn one row at a time in vocab order, each row not in found
+    (token -> vector) from the seeded generator: the reference for one draw."""
+    rng = ad.seeded_rng(seed)
+    weights = np.zeros((len(vocab), dim))
+    for i, tok in enumerate(vocab.tokens):
+        if i != pp.PAD_ID:
+            weights[i] = found[tok] if tok in found else rng.uniform(-0.05, 0.05, size=dim)
+    return weights
+
+
+def test_tables_equal_drawing_one_row_at_a_time(tmp_path):
+    v = pp.build_vocab([[f"w{i}" for i in range(40)]])
+    rng = np.random.default_rng(2)
+    words = [tok for tok in v.tokens if tok not in pp.SPECIALS]
+    found = {tok: rng.normal(size=5).tolist() for tok in words[::3]}  # found, missing interleave
+    # A special token's vector in the file is ignored: specials are always drawn.
+    path = write_vectors(tmp_path, [(pp.UNK, [1.0] * 5), *found.items()], dim=5)
+    loaded = emb.load_pretrained(path, v, dim=5, seed=4)
+    assert np.array_equal(loaded.weights.data, per_row_table(v, 5, 4, found))
+    assert loaded.oov_count == len(v) - 1 - len(found)
+    drawn = emb.random_table(v, dim=5, seed=4)
+    assert np.array_equal(drawn.weights.data, per_row_table(v, 5, 4, {}))
+
+
 def test_random_table_is_seeded_and_pad_free():
     v = small_vocab()
     t1 = emb.random_table(v, dim=4, seed=7)

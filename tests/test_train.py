@@ -245,6 +245,59 @@ def test_adam_steps_equal_the_textbook_expressions_bit_for_bit():
     assert state.t == 4
 
 
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Signed zeros, subnormals and ordinary values.
+ADAM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-322, -1e-321, -2e-308]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+)
+TINY_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, 2e-322, -1e-321])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_adam_step_keeps_the_textbook_bits_through_zeros_and_subnormals(data):
+    # Each step gives the table a row gradient (of any entries, or of tiny ones), a
+    # dense one, the exact negation of the last gradient, or none for 1-40 steps:
+    # long enough for a tiny moment to decay to a few units of the smallest
+    # subnormal, where b1 * m rounds back to m and it stops short of 0.0.
+    n, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+
+    def entries(*shape, of=ADAM_ENTRIES):
+        size = math.prod(shape)
+        return np.reshape(data.draw(st.lists(of, min_size=size, max_size=size)), shape)
+
+    named = {"e": ad.Tensor(entries(n, width), requires_grad=True)}  # may hold -0.0
+    state = tr.AdamState(named)
+    p, m, v = named["e"].data.copy(), np.zeros((n, width)), np.zeros((n, width))
+    g, t = None, 0
+    kinds = st.sampled_from(["rows", "tiny", "dense", "negate", "idle"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind in ("rows", "tiny"):
+            ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+            rows = entries(len(ids), width, of=TINY_ENTRIES if kind == "tiny" else ADAM_ENTRIES)
+            g = ad.RowGrad((n, width), np.array(ids), rows)
+        elif kind == "dense":
+            g = entries(n, width)
+        elif kind == "negate" and g is not None:
+            g = g * -1.0
+        step_g = None if kind == "idle" else g
+        for _ in range(data.draw(st.integers(1, 40)) if kind == "idle" else 1):
+            t += 1
+            lr = tr.learning_rate(0.01, 0.99, t)
+            tr.adam_step(named, {} if step_g is None else {"e": step_g}, state, lr)
+            dense = np.zeros((n, width)) if step_g is None else np.asarray(step_g, dtype=np.float64)
+            p, m, v = textbook_adam(p, m, v, dense, t, lr)
+            assert same_bits(named["e"].data, p), (kind, t)
+            assert_moments_are_the_dense_ones_on_moved_rows(state, "e", m, v, (kind, t))
+            moved = state.moved["e"]
+            assert same_bits(state.m["e"], m[moved]) and same_bits(state.v["e"], v[moved]), (kind, t)
+
+
 def test_row_gradient_adam_equals_dense_adam():
     rng = np.random.default_rng(8)
     # Each case: the table's shape, the ids each step looks up (None: no
