@@ -8,7 +8,8 @@ length, on the pair's own seed (1, 2, ...), so the two sides of a pair do
 the same work. The side that goes first alternates from pair to pair, so a
 drift in the machine's speed lands on both sides. The output holds every
 run's final JSON line with the run length perfbench reported, the CPU
-seconds its processes used and the machine's CPU steal share over it and,
+seconds its processes used, the machine's CPU steal share over it and the
+two /proc/stat readings (or read errors) that share comes from and,
 per workload, each side's count of failed operations, each side's median
 CPU seconds per attempted operation and their median pair ratio (these
 show whether the machine or the code moved) and, per metric, both sides'
@@ -38,18 +39,19 @@ STEAL_GAP = 0.05  # a pair's runs whose steal shares differ by more than this ar
 
 
 def cpu_ticks():
-    """(steal, total) ticks of all CPUs since boot, from /proc/stat; None if unreadable."""
+    """(steal, total) ticks of all CPUs since boot, from /proc/stat; if unreadable,
+    the text of the error instead."""
     try:
         with open("/proc/stat") as fh:
             ticks = [int(v) for v in fh.readline().split()[1:9]]
         return ticks[7], sum(ticks)  # user nice system idle iowait irq softirq steal
-    except (OSError, ValueError, IndexError):
-        return None
+    except (OSError, ValueError, IndexError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def steal_share(before, after):
     """The share of CPU ticks stolen between two cpu_ticks() readings, or None."""
-    if before is None or after is None or after[1] <= before[1]:
+    if not isinstance(before, tuple) or not isinstance(after, tuple) or after[1] <= before[1]:
         return None
     return (after[0] - before[0]) / (after[1] - before[1])
 
@@ -63,7 +65,8 @@ def children_cpu_s() -> float:
 def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """The run's final JSON line ("result"), the run length its header reports
     ("seconds"), the CPU seconds of perfbench and the workers it waits for
-    ("cpu_s") and the machine's steal share over the run ("steal_share")."""
+    ("cpu_s"), the machine's steal share over the run ("steal_share") and the
+    two cpu_ticks() readings it comes from ("cpu_ticks")."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
     cpu_before, ticks_before = children_cpu_s(), cpu_ticks()
@@ -75,6 +78,7 @@ def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
     return {"seconds": float(header[1]), "cpu_s": cpu_s,
             "steal_share": steal_share(ticks_before, ticks_after),
+            "cpu_ticks": [ticks_before, ticks_after],
             "result": json.loads(lines[-1])}
 
 

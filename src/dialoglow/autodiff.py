@@ -28,11 +28,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import expit
 
-# Flip on (or set DIALOGLOW_DEBUG=1 before import) to assert that every op
-# output is finite. Costs one isfinite pass per op, so off by default.
-DEBUG_CHECK_FINITE = os.environ.get("DIALOGLOW_DEBUG", "") not in ("", "0")
-
-
 class Tensor:
     """A dense float64 array plus a flag marking it as a trainable leaf."""
 
@@ -91,8 +86,11 @@ _TAPE_STACK: list[Tape] = []
 
 
 def _out(data: np.ndarray, parents: tuple[Tensor, ...], rule: _BackwardRule) -> Tensor:
-    """Wrap an op result, recording it on the active tape when relevant."""
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
+    """Wrap an op result, recording it on the active tape when relevant.
+
+    FloatingPointError, naming the op, if the result holds a non-finite value.
+    """
+    if not np.all(np.isfinite(data)):
         # Every op calls _out directly, so the calling frame is the primitive's own.
         raise FloatingPointError(f"{sys._getframe(1).f_code.co_name} produced a non-finite value")
     out = Tensor(data)

@@ -260,8 +260,8 @@ def cmd_train(args) -> int:
     on_epoch = None if args.quiet else _epoch_printer
     try:
         result = tr.train(train_ds, vocab, table, mcfg, tcfg, val_ds=val_ds, on_epoch=on_epoch)
-    except ValueError as exc:
-        # optimizer fail-fast (non-finite loss/gradient) is a runtime failure
+    except (ValueError, FloatingPointError) as exc:
+        # a non-finite op output, loss or gradient is a runtime failure
         raise CliError(f"training aborted: {exc}", code=EXIT_RUNTIME)
 
     vocab.save(out / "vocab.txt")
@@ -489,7 +489,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {_os_error_text(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

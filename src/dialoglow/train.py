@@ -272,25 +272,23 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_atomic(path, buf)
 
 
-# Bytes per read of the checkpoint reader. Each chunk's check (its CRC step
-# and finiteness) is queued on the worker thread as soon as the chunk is
-# read, so the worker works through the queue while later chunks are read.
-# Loading an 82 MB checkpoint (a 30k x 300 table and `bilstm` weights), page
-# cache warm, on a 2-core x86-64 VM, medians of 20 alternating loads: 4 MB
-# chunks 62-72 ms, 1 MB 58-72 ms, 16 MB 76-83 ms; 4 MB chunks checked in lock
-# step with the reads 85-101 ms, checked by the reading thread 95-107 ms; the
-# whole-file reader (one read, one CRC pass, a copy per tensor) 155-177 ms.
+# Bytes per read of the checkpoint reader. Each chunk's CRC step is queued on
+# the worker thread as soon as the chunk is read, so the worker works through
+# the queue while later chunks are read. Loading a 72 MB checkpoint (a 25.8k x
+# 300 table and `bilstm` weights), page cache warm, one OpenBLAS thread, on a
+# 2-core x86-64 VM, medians of eight runs of 20 loads: 1 MB chunks 37 ms, 4 MB
+# 37 ms, 16 MB 39 ms.
 LOAD_CHUNK_BYTES = 4 << 20
 
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint at ``path``, its CRC, header and tensor values checked.
 
-    The file is read once, front to back, each tensor straight into an array
-    of its own. A header or tensor directory that cannot be streamed that
-    way (only a malformed or hand-built file has one) sends the load down
-    the whole-file path, which checks the CRC before the header. A tensor
-    holding a non-finite value is refused once everything else has passed.
+    The file is read once, front to back, into one buffer laid out so that
+    the payload starts 8-byte aligned, and each tensor is a view of it. The
+    worker thread runs the CRC a chunk behind the reads; the reading thread
+    checks each newly read stretch of the payload for non-finite values. A
+    tensor holding one is refused once everything else has passed.
     """
     with open(path, "rb", buffering=0) as fh:
         head, size = fh.read(16), os.fstat(fh.fileno()).st_size
@@ -303,22 +301,38 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: format version {version}, this build reads version {CHECKPOINT_VERSION}"
             )
-        streamed = _stream(fh, path, head, hlen, size)
-        if streamed is None:
-            fh.seek(0)
-            data = memoryview(fh.read())  # slices share the bytes, no copies
-            (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-            if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
-                raise CheckpointError(f"{path}: checksum mismatch, file is corrupt or truncated")
+        start = min(16 + hlen, size - 4)  # where the payload starts
+        data = np.empty(-start % 8 + size, np.uint8)[-start % 8 :]
+        data[:16] = np.frombuffer(head, np.uint8)
+        grid = data[start : start + (size - 4 - start) // 8 * 8].view("<f8")
+        crc, pos, checked, finite, steps = zlib.crc32(head), 16, 0, True, []
+
+        def crc_step(lo, hi):  # zlib runs without the GIL
+            nonlocal crc
+            crc = zlib.crc32(data[lo:hi], crc)
+
+        try:
+            while pos < size:
+                got = fh.readinto(data[pos : pos + LOAD_CHUNK_BYTES])
+                if not got:
+                    break
+                # The pool has one worker, so the steps of a load run in the order queued.
+                steps.append(ad._POOL.submit(crc_step, pos, min(pos + got, size - 4)))
+                pos += got
+                done = min(max(pos - start, 0) // 8, len(grid))
+                finite = finite and bool(np.isfinite(grid[checked:done]).all())
+                checked = done
+        finally:
+            for step in steps:
+                step.result()
+    if pos < size or crc & 0xFFFFFFFF != struct.unpack_from("<I", data, size - 4)[0]:
+        raise CheckpointError(f"{path}: checksum mismatch, file is corrupt or truncated")
+    view = memoryview(data)
     try:
-        if streamed is None:
-            header_end = 16 + hlen
-            payload = data[header_end : len(data) - 4]
-            header = json.loads(str(data[16:header_end], "utf-8"))
-            tensors = {entry["name"]: _read_tensor(payload, entry) for entry in header["tensors"]}
-            nonfinite = [name for name, arr in tensors.items() if not np.isfinite(arr).all()]
-        else:
-            header, tensors, nonfinite = streamed
+        header_end = 16 + hlen
+        payload = view[header_end : size - 4]
+        header = json.loads(str(view[16:header_end], "utf-8"))
+        tensors = {entry["name"]: _read_tensor(payload, entry) for entry in header["tensors"]}
         mc = dict(header["model_config"])
         # Older checkpoints record the output width; this build only scores len(LABEL_ORDER).
         num_labels = mc.pop("num_labels", len(LABEL_ORDER))
@@ -346,97 +360,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: model scores {num_labels} labels, this build scores {len(LABEL_ORDER)}"
         )
-    if nonfinite:
-        raise CheckpointError(f"{path}: tensor {nonfinite[0]!r} holds non-finite values")
+    # The reading thread's check covered every tensor at an offset that is a multiple of 8.
+    if not finite or any(entry["offset"] % 8 for entry in header["tensors"]):
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+    kept = []  # views of one buffer: copy any that is misaligned or overlaps one kept before it
+    for name, arr in tensors.items():
+        if not arr.flags.aligned or any(np.may_share_memory(arr, other) for other in kept):
+            tensors[name] = arr = arr.copy()
+        kept.append(arr)
     return ckpt
 
 
-def _stream(fh, path, head: bytes, hlen: int, size: int):
-    """(header, tensors, names of non-finite tensors) read from ``fh`` in one checked pass.
-
-    ``fh`` stands just past the 16-byte preamble ``head``. Each chunk is read
-    straight into its tensor while the worker thread checks the chunks read
-    before it, in order, as it has one thread; the CRC is compared before
-    anything is returned. None, with nothing checked, when the header is not
-    JSON or its tensor directory does not tile the payload in offset order.
-    """
-    if 20 + hlen > size:
-        return None
-    hbytes = fh.read(hlen)
-    layout = _layout(hbytes, size - 20 - hlen)
-    if layout is None:
-        return None
-    header, tensors, order = layout
-    crc = zlib.crc32(hbytes, zlib.crc32(head))
-    nonfinite = []
-
-    def check(name, chunk):  # zlib and isfinite both run without the GIL
-        nonlocal crc
-        crc = zlib.crc32(chunk, crc)
-        if not np.isfinite(chunk).all():
-            nonfinite.append(name)
-
-    step = LOAD_CHUNK_BYTES // 8
-    checks = []
-    try:
-        for name in order:
-            flat = tensors[name].reshape(-1)
-            for lo in range(0, flat.size, step):
-                chunk = flat[lo : lo + step]
-                fh.readinto(chunk)
-                checks.append(ad._POOL.submit(check, name, chunk))
-        stored = fh.read(4)  # a file cut short since fstat leaves this short too
-    finally:
-        for done in checks:
-            done.result()
-    if len(stored) != 4 or crc & 0xFFFFFFFF != struct.unpack("<I", stored)[0]:
-        raise CheckpointError(f"{path}: checksum mismatch, file is corrupt or truncated")
-    return header, tensors, nonfinite
-
-
-def _layout(hbytes: bytes, payload_len: int):
-    """(header, empty tensors in directory order, their names in offset order), or None.
-
-    None unless the header is JSON whose directory names each tensor once,
-    gives it a list of counts as its shape and lays the tensors end to end
-    over exactly ``payload_len`` bytes.
-    """
-    try:
-        header = json.loads(hbytes.decode("utf-8"))
-        entries = [(e["offset"], e["name"], e["shape"]) for e in header["tensors"]]
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not all(
-        type(offset) is int and type(name) is str and type(shape) is list
-        and all(type(v) is int and v >= 0 for v in shape)
-        for offset, name, shape in entries
-    ) or len({name for _, name, _ in entries}) != len(entries):
-        return None
-    order = sorted(entries, key=lambda e: e[0])
-    end = 0
-    for offset, _, shape in order:
-        if offset != end:
-            return None
-        end += 8 * math.prod(shape)
-    if end != payload_len:
-        return None
-    try:
-        tensors = {name: np.empty(shape, "<f8") for _, name, shape in entries}
-    except ValueError:  # a huge dimension beside a zero one, or too many dimensions
-        return None
-    return header, tensors, [name for _, name, _ in order]
-
-
 def _read_tensor(payload: memoryview, entry: dict) -> np.ndarray:
-    """One float64 tensor of the payload, bound-checked against its length."""
+    """One float64 tensor viewing the payload, bound-checked against its length."""
     shape, offset = tuple(entry["shape"]), entry["offset"]
     if not all(isinstance(v, int) and v >= 0 for v in (offset, *shape)):
         raise ValueError(f"tensor {entry['name']!r} has shape {shape} at offset {offset}")
     count = math.prod(shape)
     if offset + 8 * count > len(payload):
         raise ValueError(f"tensor {entry['name']!r} runs past the end of the payload")
-    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return arr.reshape(shape).astype(np.float64)
+    return np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
 
 
 def params_from_checkpoint(ckpt: Checkpoint):

@@ -428,9 +428,8 @@ def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
     assert np.array_equal(np.asarray(got), dense[1] + dense[0])
 
 
-def test_debug_finite_check_names_the_op(monkeypatch):
+def test_finite_check_names_the_op():
     u = ad.Tensor([[np.inf, 0.0], [1.0, 2.0]])  # row 0 scores inf twice; inf - inf is NaN
-    monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", True)
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError, match="^self_attention produced a non-finite value"):
             ad.self_attention(u)
@@ -441,8 +440,6 @@ def test_debug_finite_check_names_the_op(monkeypatch):
         assert np.all(np.isfinite(ad.bilstm_max(ad.Tensor(x[:1]), [3], w, b, w, b).data))
         with pytest.raises(FloatingPointError, match="^bilstm_max produced a non-finite value"):
             ad.bilstm_max(ad.Tensor(x), [3, 2], w, b, w, b)
-        monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)
-        assert not np.all(np.isfinite(ad.self_attention(u).data))
 
 
 def full_size_window(seed):

@@ -78,8 +78,19 @@ def test_steal_share_of_two_tick_readings():
     assert bp.steal_share(None, (30, 1400)) is None
     assert bp.steal_share((10, 1000), None) is None
     assert bp.steal_share((10, 1000), (10, 1000)) is None
+    assert bp.steal_share("OSError: no /proc", (30, 1400)) is None
     ticks = bp.cpu_ticks()
-    assert ticks is None or 0 <= ticks[0] <= ticks[1]
+    assert isinstance(ticks, str) or 0 <= ticks[0] <= ticks[1]
+
+
+def test_cpu_ticks_keeps_the_reason_it_could_not_read(monkeypatch):
+    bp = load_script()
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "/proc/stat")
+
+    monkeypatch.setattr(bp, "open", unreadable, raising=False)
+    assert bp.cpu_ticks() == "PermissionError: [Errno 13] Permission denied: '/proc/stat'"
 
 
 def test_run_perfbench_records_the_runs_cpu_seconds(tmp_path):
@@ -98,6 +109,11 @@ def test_run_perfbench_records_the_runs_cpu_seconds(tmp_path):
     # The stub spins for 0.2 s of its own CPU time; rusage may account it a little apart.
     assert 0.15 <= got["cpu_s"] < 5.0
     assert got["steal_share"] is None or 0.0 <= got["steal_share"] <= 1.0
+    # The two /proc/stat readings behind the share, each a tick pair or an error's text.
+    before, after = got["cpu_ticks"]
+    if got["steal_share"] is not None:
+        assert got["steal_share"] == bp.steal_share(before, after)
+    assert all(isinstance(t, str) or len(t) == 2 for t in (before, after))
 
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]  # spread 0.025

@@ -5,9 +5,11 @@ import pathlib
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from dialoglow import cli, synthetic
+from dialoglow import train as tr
 from helpers import serialize_dataset
 
 CONFIG = """\
@@ -483,6 +485,36 @@ def test_train_with_an_out_path_it_cannot_make_exits_2_before_training(
     (tmp_path / "taken").write_text("", encoding="utf-8")
     assert run_train(tmp_path, out="taken")[0] == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'taken'}: {os.strerror(errno.EEXIST)}\n"
+
+
+def non_finite_errors(err):
+    """The error lines of stderr, after checking it holds no traceback."""
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_whose_forward_pass_overflows_exits_1_naming_the_op(tmp_path, capsys):
+    rc, out = run_train(tmp_path, extra=("--lr", "1e300"))
+    assert rc == 1
+    assert non_finite_errors(capsys.readouterr().err) == [
+        "error: training aborted: affine produced a non-finite value"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_serving_whose_forward_pass_overflows_exits_1_naming_the_op(tmp_path, capsys, command):
+    # Finite weights whose logits overflow: every FC row is exactly 1, every out.w entry 1e308.
+    rc, out = run_train(tmp_path)
+    path = out / "checkpoint.bin"
+    ckpt = tr.load_checkpoint(path)
+    ckpt.tensors.update({"fc0.w": np.zeros((8, 8)), "fc0.b": np.ones(8),
+                         "out.w": np.full((8, 8), 1e308)})
+    tr.save_checkpoint(ckpt, path)
+    capsys.readouterr()
+    assert cli.main([command, str(path), str(tmp_path / "train.json")]) == 1
+    assert non_finite_errors(capsys.readouterr().err) == ["error: affine produced a non-finite value"]
 
 
 # --- gradcheck / misc ---------------------------------------------------------

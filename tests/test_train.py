@@ -8,6 +8,7 @@ import struct
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -461,11 +462,22 @@ def test_checkpoint_file_bytes_are_pinned(tmp_path):
     )
 
 
+def assert_separate_float64_arrays(tensors):
+    """Each tensor is writeable, C-contiguous, aligned float64 memory that no other shares."""
+    for name, arr in tensors.items():
+        flags = arr.flags
+        assert flags.writeable and flags.c_contiguous and flags.aligned, name
+        assert arr.dtype == np.float64, name
+    arrays = list(tensors.items())
+    for i, (name, arr) in enumerate(arrays):
+        for other, arr2 in arrays[i + 1 :]:
+            assert not np.may_share_memory(arr, arr2), (name, other)
+
+
 def test_loaded_tensors_own_writable_memory(tmp_path):
-    # The tensors are copies, not read-only views of the file's bytes.
+    # Writeable, aligned arrays, none sharing memory with another, not read-only views of the file.
     _, path, *_ = saved_checkpoint(tmp_path)
-    for name, arr in tr.load_checkpoint(path).tensors.items():
-        assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.float64, name
+    assert_separate_float64_arrays(tr.load_checkpoint(path).tensors)
 
 
 def test_truncated_checkpoint_fails_the_checksum(tmp_path):
@@ -644,7 +656,7 @@ def assert_loads_like_the_oracle(path):
     assert list(got.tensors) == list(want.tensors)
     for name, arr in want.tensors.items():
         assert np.array_equal(got.tensors[name], arr), name
-        assert got.tensors[name].flags.owndata and got.tensors[name].flags.writeable, name
+    assert_separate_float64_arrays(got.tensors)
 
 
 def seal(body: bytes) -> bytes:
@@ -688,28 +700,82 @@ def test_corrupt_checkpoint_loads_like_the_whole_file_reader(small_checkpoint, c
 
 
 @closes_its_file
-@pytest.mark.parametrize("layout", ["reversed", "gaps"])
+@pytest.mark.parametrize("layout", ["reversed", "gaps", "overlap", "misaligned"])
 def test_hand_built_tensor_directory_loads_like_the_whole_file_reader(tmp_path, layout):
     # No writer here lays tensors out like this: reversed, the payload runs in
-    # the directory's reverse order; with gaps, 8 stray bytes precede every tensor.
+    # the directory's reverse order; with gaps, 8 stray bytes precede every
+    # tensor; overlap points lstm_bwd.w at lstm_fwd.w's bytes. Misaligned puts
+    # the first tensor at offset 4 of a zero prefix whose bytes 10-11 are F8 7F:
+    # its first value is a NaN, while the floats at bytes 0-7 and 8-15 are finite.
     ckpt, path, *_ = saved_checkpoint(tmp_path)
     blob = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + hlen])
-    payload = bytearray()
+    payload = bytearray(bytes(10) + b"\xf8\x7f" + bytes(4) if layout == "misaligned" else b"")
     entries = header["tensors"][::-1] if layout == "reversed" else header["tensors"]
     for entry in entries:
         if layout == "gaps":
             payload += b"\xff" * 8
         entry["offset"] = len(payload)
         payload += np.ascontiguousarray(ckpt.tensors[entry["name"]], dtype="<f8").tobytes()
+    at = {entry["name"]: entry for entry in entries}
+    if layout == "overlap":
+        at["lstm_bwd.w"]["offset"] = at["lstm_fwd.w"]["offset"]
+    if layout == "misaligned":
+        entries[0]["offset"] = 4
     hbytes = json.dumps(header).encode("utf-8")
     path.write_bytes(seal(blob[:8] + struct.pack("<Q", len(hbytes)) + hbytes + bytes(payload)))
     assert_loads_like_the_oracle(path)
+    if layout == "misaligned":
+        with pytest.raises(tr.CheckpointError, match="tensor 'embedding' holds non-finite values"):
+            tr.load_checkpoint(path)
+        return
+    want = dict(ckpt.tensors)
+    if layout == "overlap":
+        want["lstm_bwd.w"] = want["lstm_fwd.w"]
     loaded = tr.load_checkpoint(path)
-    assert list(loaded.tensors) == list(ckpt.tensors)
+    assert list(loaded.tensors) == list(want)
+    for name, arr in want.items():
+        assert np.array_equal(loaded.tensors[name], arr), name
+
+
+class ShortReads:
+    """A file whose every ``readinto`` fills at most 4093 bytes, as network filesystems may."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def readinto(self, buf):
+        return self.raw.readinto(memoryview(buf).cast("B")[:4093])
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()
+
+
+@closes_its_file
+def test_short_reads_load_the_whole_checkpoint(tmp_path, monkeypatch):
+    ckpt, path, *_ = saved_checkpoint(tmp_path)
+    ckpt.tensors["embedding"] = np.random.default_rng(0).normal(size=(640, 8))  # 40 kB
+    tr.save_checkpoint(ckpt, path)
+    monkeypatch.setattr(tr, "open", lambda *a, **kw: ShortReads(open(*a, **kw)), raising=False)
+    loaded = tr.load_checkpoint(path)
     for name, arr in ckpt.tensors.items():
         assert np.array_equal(loaded.tensors[name], arr), name
+
+
+@closes_its_file
+def test_file_shorter_than_its_stat_size_fails_the_checksum(tmp_path, monkeypatch):
+    _, path, *_ = saved_checkpoint(tmp_path)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 8))
+    with pytest.raises(tr.CheckpointError, match="checksum mismatch, file is corrupt or truncated"):
+        tr.load_checkpoint(path)
 
 
 @closes_its_file

@@ -1,8 +1,9 @@
-"""The whole-file checkpoint reader that the streaming one replaced, frozen as its oracle.
+"""A whole-file checkpoint reader, frozen as the oracle of ``train.load_checkpoint``.
 
-``load_checkpoint`` is a copy of ``train.load_checkpoint`` as it was before
-streaming: it reads the whole file, checks its CRC, then copies each tensor
-out of the payload. It checks no tensor for non-finite values.
+``load_checkpoint`` reads the whole file, checks its CRC, then parses the
+header and copies each tensor out of the payload, raising the messages
+``train.load_checkpoint`` must raise. It checks no tensor for non-finite
+values, which ``train.load_checkpoint`` refuses once everything else has passed.
 """
 import json
 import math
