@@ -345,6 +345,18 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
+def _submit(fn: Callable, *args):
+    """``_POOL.submit(fn, *args)``, run under the caller's numpy error state,
+    which numpy keeps per thread."""
+    err = np.geterr()
+
+    def run():
+        with np.errstate(**err):
+            return fn(*args)
+
+    return _POOL.submit(run)
+
+
 def _cores_for_both_directions() -> bool:
     """Whether the two directions' BLAS threads fit on the usable CPUs.
 
@@ -370,7 +382,7 @@ def _both(parallel: bool, first: Callable, second: Callable):
     """``(first(), second())``, running ``second`` on the worker thread if ``parallel``."""
     if not parallel:
         return first(), second()
-    later = _POOL.submit(second)
+    later = _submit(second)
     try:
         done = first()
     finally:

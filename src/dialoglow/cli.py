@@ -18,6 +18,8 @@ import time
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import autodiff as ad
 from . import embeddings as emb
@@ -26,7 +28,7 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import (
-    CorpusError, LABEL_ORDER, Split, corpus_stats, load_dataset, split_windows,
+    CorpusError, Dataset, LABEL_ORDER, Split, corpus_stats, load_dataset, split_windows,
 )
 from .files import read_text, write_atomic
 
@@ -163,14 +165,46 @@ def _write_json(path: Path, obj) -> None:
 # commands
 
 
+def _encoded_json(ds: Dataset, tokens: dict, vocab: pp.Vocab, run_cfg: dict) -> str:
+    """The text json.dumps(indent=2, sort_keys=True) gives for ``encoded.json``'s
+    document, rendered from fixed templates without building the document.
+
+    ``tokens`` maps each utterance text to its tokens. Every key is fixed, so
+    each level is one template with its keys in sorted order, and strings go
+    through json's own escaping. A text's ``token_ids`` block is rendered
+    once, at its final depth (12 spaces). A dialogue always has utterances,
+    and an utterance tokens (tokenize gives [<unk>] for no text), so only the
+    dialogue list can be empty.
+    """
+    enc = json.encoder.encode_basestring_ascii
+    ids = {
+        text: "[\n            " + ",\n            ".join(map(str, vocab.encode(seq))) + "\n          ]"
+        for text, seq in tokens.items()
+    }
+    gold = {lab: enc(str(lab)) for lab in LABEL_ORDER}
+    dialogues = ",\n".join(
+        f'    {{\n      "id": {enc(d.id)},\n      "utterances": [\n'
+        + ",\n".join(
+            f'        {{\n          "gold": {gold[u.gold]},\n          "speaker": {enc(u.speaker_id)},'
+            f'\n          "token_ids": {ids[u.raw_text]}\n        }}'
+            for u in d.utterances
+        )
+        + "\n      ]\n    }"
+        for d in ds.dialogues
+    )
+    dialogues = f"[\n{dialogues}\n  ]" if ds.dialogues else "[]"
+    config = json.dumps(run_cfg, indent=2, sort_keys=True).replace("\n", "\n  ")
+    vocab_hash = enc(pp.vocab_content_sha256(vocab))
+    return f'{{\n  "config": {config},\n  "dialogues": {dialogues},\n  "vocab_sha256": {vocab_hash}\n}}\n'
+
+
 def cmd_preprocess(args) -> int:
     data_dir = _data_dir({})
     path = _resolve_input(args.data, data_dir)
     ds = load_dataset(path, Split(args.split))
-    # prepare() is a pure function of its text: run it once per distinct text.
     texts = [u.raw_text for d in ds.dialogues for u in d.utterances]
-    tokens = {text: pp.prepare(text) for text in dict.fromkeys(texts)}
-    vocab = pp.build_vocab((tokens[text] for text in texts), min_count=args.min_count)
+    tokens = pp.prepare_distinct(texts)
+    vocab = pp.build_vocab(map(tokens.__getitem__, texts), min_count=args.min_count)
     stats = corpus_stats(ds, tokens.__getitem__)
 
     out = Path(args.out)
@@ -178,25 +212,7 @@ def cmd_preprocess(args) -> int:
     vocab.save(out / "vocab.txt")
 
     run_cfg = {"min_count": args.min_count, "split": args.split, "version": __version__}
-    encoded = {
-        "config": run_cfg,
-        "vocab_sha256": pp.vocab_content_sha256(vocab),
-        "dialogues": [
-            {
-                "id": d.id,
-                "utterances": [
-                    {
-                        "speaker": u.speaker_id,
-                        "gold": str(u.gold),
-                        "token_ids": vocab.encode(tokens[u.raw_text]),
-                    }
-                    for u in d.utterances
-                ],
-            }
-            for d in ds.dialogues
-        ],
-    }
-    _write_json(out / "encoded.json", encoded)
+    write_atomic(out / "encoded.json", _encoded_json(ds, tokens, vocab, run_cfg).encode("ascii"))
     _write_json(
         out / "stats.json",
         {
@@ -336,9 +352,10 @@ def cmd_predict(args) -> int:
 
     # Window every dialogue of the file, score them all at once, then hand
     # the labels back in order.
+    tokens = pp.prepare_distinct(u["utterance"] for dlg in doc for u in dlg)
     windows = []
     for dlg in doc:
-        ids = [vocab.encode(pp.prepare(u["utterance"])) for u in dlg]
+        ids = [vocab.encode(tokens[u["utterance"]]) for u in dlg]
         windows += split_windows(ids, cfg.window_size)
     labels = iter(mx.predict(tr.infer(windows, params, cfg)))
     annotated = [
@@ -472,7 +489,10 @@ def _os_error_text(exc: OSError) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Every op refuses a non-finite output and names itself, so numpy's
+        # floating-point warnings would only repeat that error line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -159,7 +161,9 @@ def load_dataset(path: "str | Path", split: Split) -> Dataset:
                 raise CorpusError(
                     f"{path}: dialogue {di}, utterance {ui} lacks field {e.args[0]!r}"
                 ) from None
-            if not all(isinstance(v, str) for v in (speaker, text_field, emotion)):
+            if not (
+                isinstance(speaker, str) and isinstance(text_field, str) and isinstance(emotion, str)
+            ):
                 raise CorpusError(
                     f"{path}: dialogue {di}, utterance {ui} has non-string fields"
                 )
@@ -189,21 +193,17 @@ def corpus_stats(ds: Dataset, tokenizer: Callable[[str], Iterable[str]]) -> Corp
     """Count dialogues, utterances, distinct tokens and gold labels.
 
     ``tokenizer`` maps raw utterance text to tokens; distinct tokens are
-    counted over the whole split with that mapping applied.
+    counted over the whole split with that mapping applied, once per
+    distinct text.
     """
-    vocab: set[str] = set()
-    hist = {lab.value: 0 for lab in LABEL_ORDER}
-    n_utt = 0
-    for d in ds.dialogues:
-        for u in d.utterances:
-            n_utt += 1
-            hist[u.gold.value] += 1
-            vocab.update(tokenizer(u.raw_text))
+    utts = [u for d in ds.dialogues for u in d.utterances]
+    texts = dict.fromkeys(u.raw_text for u in utts)
+    golds = Counter(u.gold for u in utts)
     return CorpusStats(
         dialogues=len(ds.dialogues),
-        utterances=n_utt,
-        unique_tokens=len(vocab),
-        label_histogram=hist,
+        utterances=len(utts),
+        unique_tokens=len(set(chain.from_iterable(map(tokenizer, texts)))),
+        label_histogram={lab.value: golds[lab] for lab in LABEL_ORDER},
     )
 
 

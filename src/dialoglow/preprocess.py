@@ -15,6 +15,7 @@ import functools
 import hashlib
 import re
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -40,6 +41,8 @@ _MARK_RUN_RE = re.compile(r"([^\w\s]|_)\1+")
 # A whitespace-delimited chunk that holds a run. The lookbehind keeps the
 # lookahead to chunk starts, so a chunk is scanned once, not once per character.
 _RUN_CHUNK_RE = re.compile(r"(?<!\S)(?=\S*?(?:([^\W_])\1\1|([^\w\s]|_)\2))\S+")
+# \s is exactly the characters where str.isspace() is true.
+_SPACE_RE = re.compile(r"\s")
 
 
 def _read_table(path: Path) -> dict[str, str]:
@@ -120,6 +123,15 @@ def prepare(raw: str) -> TokenSequence:
     return tokenize(collapse_duplicates(clean_text(raw)))
 
 
+def prepare_distinct(texts: Iterable[str]) -> dict[str, TokenSequence]:
+    """Each distinct text of ``texts``, in first-seen order, mapped to prepare(text).
+
+    prepare() is a pure function of its text, so a text that repeats is
+    prepared once; callers look each utterance's tokens up by its text.
+    """
+    return {text: prepare(text) for text in dict.fromkeys(texts)}
+
+
 class Vocab:
     """Bijective token/id mapping with pinned special tokens.
 
@@ -131,13 +143,20 @@ class Vocab:
         self.tokens: list[str] = list(tokens)
         if self.tokens[: len(SPECIALS)] != list(SPECIALS):
             raise ValueError(f"vocab must start with the special tokens {SPECIALS}")
-        self.index: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
-            if tok.split() != [tok]:
-                raise ValueError(f"bad vocab token at id {i}: {tok!r}")
-            if tok in self.index:
-                raise ValueError(f"duplicate vocab token: {tok!r}")
-            self.index[tok] = i
+        self.index: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
+        # A duplicate shrinks the index; an empty token, or one holding
+        # whitespace, shows in the joined text. Only then does the per-token
+        # loop run, to name the first bad token.
+        if len(self.index) != len(self.tokens) or "" in self.index or _SPACE_RE.search(
+            "".join(self.tokens)
+        ):
+            seen = set()
+            for i, tok in enumerate(self.tokens):
+                if tok.split() != [tok]:
+                    raise ValueError(f"bad vocab token at id {i}: {tok!r}")
+                if tok in seen:
+                    raise ValueError(f"duplicate vocab token: {tok!r}")
+                seen.add(tok)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -147,11 +166,8 @@ class Vocab:
 
     def encode(self, seq: Iterable[str]) -> list[int]:
         """Map tokens to ids; unknown tokens (and any literal <pad>) to <unk>."""
-        out = []
-        for tok in seq:
-            i = self.index.get(tok, UNK_ID)
-            out.append(UNK_ID if i == PAD_ID else i)
-        return out
+        # PAD_ID is 0, the one falsy id, so `or` sends a literal <pad> to <unk>.
+        return [i or UNK_ID for i in map(self.index.get, seq, repeat(UNK_ID))]
 
     def save(self, path: "str | Path") -> None:
         write_atomic(path, ("\n".join(self.tokens) + "\n").encode("utf-8"))
@@ -172,13 +188,10 @@ def build_vocab(corpus: Iterable[Iterable[str]], min_count: int = 1) -> Vocab:
     Tokens seen fewer than min_count times are left out and will encode
     to <unk>.
     """
-    counts = Counter()
-    for seq in corpus:
-        counts.update(seq)
-    ranked = sorted(
-        (tok for tok, c in counts.items() if c >= min_count and tok not in SPECIALS),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    counts = Counter(chain.from_iterable(corpus))
+    ranked = sorted(tok for tok, c in counts.items() if c >= min_count and tok not in SPECIALS)
+    # A reverse sort is stable too: tokens of one count stay alphabetical.
+    ranked.sort(key=counts.__getitem__, reverse=True)
     return Vocab(list(SPECIALS) + ranked)
 
 

@@ -29,7 +29,7 @@ from . import model as m
 from .corpus import CONSIDERED_LABELS, LABEL_INDEX, LABEL_ORDER, Dataset, split_train_validation, split_windows
 from .embeddings import EmbeddingTable
 from .files import write_atomic
-from .preprocess import SPECIALS, Vocab, prepare, vocab_content_sha256
+from .preprocess import SPECIALS, Vocab, build_vocab, prepare_distinct, vocab_content_sha256
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -317,7 +317,7 @@ def load_checkpoint(path) -> Checkpoint:
                 if not got:
                     break
                 # The pool has one worker, so the steps of a load run in the order queued.
-                steps.append(ad._POOL.submit(crc_step, pos, min(pos + got, size - 4)))
+                steps.append(ad._submit(crc_step, pos, min(pos + got, size - 4)))
                 pos += got
                 done = min(max(pos - start, 0) // 8, len(grid))
                 finite = finite and bool(np.isfinite(grid[checked:done]).all())
@@ -421,23 +421,28 @@ def params_from_checkpoint(ckpt: Checkpoint):
 # evaluation helpers
 
 
+def _texts(ds: Dataset) -> list:
+    return [u.raw_text for d in ds.dialogues for u in d.utterances]
+
+
 def vocab_from_dataset(ds: Dataset, min_count: int = 1) -> Vocab:
-    from .preprocess import build_vocab
-
-    corpus = (prepare(u.raw_text) for d in ds.dialogues for u in d.utterances)
-    return build_vocab(corpus, min_count=min_count)
-
-
-def _encode_window(utterances, vocab: Vocab):
-    ids = [vocab.encode(prepare(u.raw_text)) for u in utterances]
-    golds = [LABEL_INDEX[u.gold] for u in utterances]
-    return ids, golds
+    texts = _texts(ds)
+    tokens = prepare_distinct(texts)
+    return build_vocab(map(tokens.__getitem__, texts), min_count=min_count)
 
 
 def encode_dataset(ds: Dataset, vocab: Vocab, window_size: int):
-    """Per-dialogue window encodings: [[(ids_list, gold_list), ...], ...]."""
+    """Per-dialogue window encodings: [[(ids_list, gold_list), ...], ...].
+
+    Each distinct text is prepared and encoded once; the utterances that
+    share a text share its ids list, which nothing downstream modifies.
+    """
+    ids = {text: vocab.encode(seq) for text, seq in prepare_distinct(_texts(ds)).items()}
     return [
-        [_encode_window(w, vocab) for w in split_windows(d.utterances, window_size)]
+        [
+            ([ids[u.raw_text] for u in w], [LABEL_INDEX[u.gold] for u in w])
+            for w in split_windows(d.utterances, window_size)
+        ]
         for d in ds.dialogues
     ]
 

@@ -571,6 +571,18 @@ def test_bilstm_max_stays_serial_without_spare_cores_or_big_weights(
     assert len(runs) == 4 and {name for *_, name in runs} == {threading.current_thread().name}
 
 
+def test_worker_thread_runs_under_the_callers_numpy_error_state():
+    # numpy keeps its error state per thread; the CLI sets it on the calling one.
+    def overflow():
+        return np.array([1e308]) * 10.0
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad._both(True, lambda: None, overflow)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ad._both(True, lambda: None, overflow)[1][0] == np.inf
+
+
 def test_forked_child_finishes_a_threaded_bilstm_max(monkeypatch):
     set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
     x, lengths, params, r = full_size_window(seed=7)

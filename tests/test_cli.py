@@ -7,9 +7,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dialoglow import cli, synthetic
+from dialoglow import __version__, cli, synthetic
+from dialoglow import preprocess as pp
 from dialoglow import train as tr
+from dialoglow.corpus import LABEL_ORDER, Dataset, Dialogue, EmotionLabel, Split, Utterance
 from helpers import serialize_dataset
 
 CONFIG = """\
@@ -100,6 +104,84 @@ def test_preprocess_split_names_the_dialogue_ids(tmp_path, capsys):
         cli.main(["preprocess", str(data), "--out", str(out), "--split", "dev"])
     assert exit_.value.code == 2
     assert "invalid choice: 'dev'" in capsys.readouterr().err
+
+
+def stdlib_encoded_json(ds, min_count):
+    """encoded.json as the document the command once built, rendered by json.dumps."""
+    tokens = {u.raw_text: pp.prepare(u.raw_text) for d in ds.dialogues for u in d.utterances}
+    vocab = pp.build_vocab(
+        [tokens[u.raw_text] for d in ds.dialogues for u in d.utterances], min_count=min_count
+    )
+    doc = {
+        "config": {"min_count": min_count, "split": ds.split.value, "version": __version__},
+        "vocab_sha256": pp.vocab_content_sha256(vocab),
+        "dialogues": [
+            {
+                "id": d.id,
+                "utterances": [
+                    {
+                        "speaker": u.speaker_id,
+                        "gold": str(u.gold),
+                        "token_ids": vocab.encode(tokens[u.raw_text]),
+                    }
+                    for u in d.utterances
+                ],
+            }
+            for d in ds.dialogues
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", tokens, vocab, doc["config"]
+
+
+# Quotes, backslashes, control characters, non-ASCII and lone surrogates.
+ODD_CHARS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f602"]
+# Repeats are likely; "" and the accented text prepare to [<unk>].
+TEXTS = ["", "\u00e9\u00e9", "Ross is sooo happy!!", "oh no", "oh no", "call 555 now", "\U0001f602 \"hi\""]
+speakers = st.text(st.one_of(st.characters(), st.sampled_from(ODD_CHARS)), max_size=6)
+utterances = st.builds(
+    Utterance,
+    speaker_id=speakers,
+    raw_text=st.one_of(st.sampled_from(TEXTS), st.text(max_size=12)),
+    gold=st.sampled_from(LABEL_ORDER),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    split=st.sampled_from(Split),
+    dialogues=st.lists(st.lists(utterances, min_size=1, max_size=4), max_size=4),
+    min_count=st.sampled_from([1, 2, 3]),
+)
+@example(
+    split=Split.TRAIN,
+    dialogues=[
+        [Utterance('a"\\\x01\ud800\u00e9', "oh no", EmotionLabel.JOY),
+         Utterance("b", "", EmotionLabel.NON_NEUTRAL)],
+        [Utterance("a", "oh no", EmotionLabel.ANGER)],
+    ],
+    min_count=2,
+)
+def test_encoded_json_writer_matches_json_dumps(split, dialogues, min_count):
+    ds = Dataset(split, [Dialogue(f"{split.value}-{i:04d}", utts) for i, utts in enumerate(dialogues)])
+    want, tokens, vocab, run_cfg = stdlib_encoded_json(ds, min_count)
+    assert cli._encoded_json(ds, tokens, vocab, run_cfg) == want
+
+
+def test_preprocess_outputs_are_their_stdlib_rendering(tmp_path):
+    dialogues = serialize_dataset(synthetic.build(n_dialogues=6, seed=0))
+    dialogues[0][0]["speaker"] = 'Mr. "Q" \\ \u00e9\ud800\x07'
+    dialogues[1][0]["utterance"] = ""
+    data = tmp_path / "odd.json"
+    data.write_text(json.dumps(dialogues), encoding="utf-8")
+    for min_count in ("1", "2"):
+        out = tmp_path / f"prep{min_count}"
+        assert cli.main(["preprocess", str(data), "--out", str(out), "--min-count", min_count]) == 0
+        for name in ("encoded.json", "stats.json"):
+            blob = (out / name).read_bytes()
+            assert (json.dumps(json.loads(blob), indent=2, sort_keys=True) + "\n").encode() == blob
+        assert json.loads((out / "encoded.json").read_bytes())["dialogues"][0]["utterances"][0][
+            "speaker"
+        ] == dialogues[0][0]["speaker"]
 
 
 def test_data_dir_env_var_resolves_relative_inputs(tmp_path, monkeypatch, capsys):
@@ -487,22 +569,14 @@ def test_train_with_an_out_path_it_cannot_make_exits_2_before_training(
     assert capsys.readouterr().err == f"error: {tmp_path / 'taken'}: {os.strerror(errno.EEXIST)}\n"
 
 
-def non_finite_errors(err):
-    """The error lines of stderr, after checking it holds no traceback."""
-    assert "Traceback" not in err
-    return [line for line in err.splitlines() if line.startswith("error:")]
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_whose_forward_pass_overflows_exits_1_naming_the_op(tmp_path, capsys):
     rc, out = run_train(tmp_path, extra=("--lr", "1e300"))
     assert rc == 1
-    assert non_finite_errors(capsys.readouterr().err) == [
-        "error: training aborted: affine produced a non-finite value"
-    ]
+    assert capsys.readouterr().err == "error: training aborted: affine produced a non-finite value\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_serving_whose_forward_pass_overflows_exits_1_naming_the_op(tmp_path, capsys, command):
     # Finite weights whose logits overflow: every FC row is exactly 1, every out.w entry 1e308.
@@ -514,7 +588,7 @@ def test_serving_whose_forward_pass_overflows_exits_1_naming_the_op(tmp_path, ca
     tr.save_checkpoint(ckpt, path)
     capsys.readouterr()
     assert cli.main([command, str(path), str(tmp_path / "train.json")]) == 1
-    assert non_finite_errors(capsys.readouterr().err) == ["error: affine produced a non-finite value"]
+    assert capsys.readouterr().err == "error: affine produced a non-finite value\n"
 
 
 # --- gradcheck / misc ---------------------------------------------------------

@@ -166,11 +166,10 @@ def test_build_vocab_invariant_to_corpus_order(seqs, seed):
 
 def test_encode_maps_unknown_to_unk_and_never_pad():
     v = pp.build_vocab([["hi", "there"]])
-    ids = v.encode(["hi", "zzz", "<pad>", "there"])
-    assert ids[0] == v.index["hi"]
-    assert ids[1] == pp.UNK_ID
-    assert ids[2] == pp.UNK_ID
-    assert pp.PAD_ID not in ids
+    ids = v.encode(["hi", "zzz", "<pad>", "there", "<unk>", "<pad>", "<name>"])
+    unk = pp.UNK_ID
+    assert ids == [v.index["hi"], unk, unk, v.index["there"], unk, unk, v.index["<name>"]]
+    assert v.encode([]) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,6 +190,26 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert pp.vocab_sha256(path) == pp.vocab_sha256(path)
 
 
+def per_token_vocab_error(tokens):
+    """Reference: the first bad token's message from a check of each token in turn, or None."""
+    index = {}
+    for i, tok in enumerate(tokens):
+        if tok.split() != [tok]:
+            return f"bad vocab token at id {i}: {tok!r}"
+        if tok in index:
+            return f"duplicate vocab token: {tok!r}"
+        index[tok] = i
+    return None
+
+
+def vocab_error(tokens):
+    try:
+        pp.Vocab(tokens)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_vocab_rejects_bad_shapes():
     with pytest.raises(ValueError):
         pp.Vocab(["<pad>", "<unk>"])  # specials incomplete
@@ -200,13 +219,40 @@ def test_vocab_rejects_bad_shapes():
         pp.Vocab(list(pp.SPECIALS) + ["has space"])
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["", "a b"],  # two words in all, so a word count over the joined tokens passes them
+        ["a b", ""],
+        ["dup", "dup", "a b"],
+        ["a b", "dup", "dup"],
+        ["dup", "ok", "dup"],
+        ["ok", "<name>"],
+        ["ok", " "],
+    ],
+    ids=repr,
+)
+def test_vocab_names_the_first_bad_token_as_the_per_token_loop_did(extra):
+    tokens = list(pp.SPECIALS) + extra
+    assert per_token_vocab_error(tokens) is not None
+    assert vocab_error(tokens) == per_token_vocab_error(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "ab", "", " ", "a b", "\t", "\x1c", "\u200b", "\u3000"])))
+def test_vocab_accepts_and_refuses_what_the_per_token_loop_did(extra):
+    tokens = list(pp.SPECIALS) + extra
+    assert vocab_error(tokens) == per_token_vocab_error(tokens)
+
+
 def test_vocab_rejects_every_whitespace_character():
     spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
     assert len(spaces) > 20
     for c in spaces:
-        for tok in (c, f"a{c}b"):
-            with pytest.raises(ValueError, match="bad vocab token"):
-                pp.Vocab(list(pp.SPECIALS) + [tok])
+        for tok in (c, f"a{c}b", f"{c}a"):
+            tokens = list(pp.SPECIALS) + ["ok", tok, "ok"]
+            assert vocab_error(tokens) == f"bad vocab token at id 8: {tok!r}"
+            assert vocab_error(tokens) == per_token_vocab_error(tokens)
     with pytest.raises(ValueError, match="bad vocab token"):
         pp.Vocab(list(pp.SPECIALS) + [""])
     # A character str.isspace does not count, like a zero-width space, is token text.

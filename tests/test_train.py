@@ -26,7 +26,7 @@ from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
-from dialoglow.corpus import EmotionLabel
+from dialoglow.corpus import LABEL_INDEX, Dataset, Dialogue, EmotionLabel, split_windows
 from helpers import project, serialize_dataset
 import whole_file_checkpoint
 
@@ -49,6 +49,36 @@ def tiny_world(seed=0, n_dialogues=6, **cfg_over):
     cfg = tiny_model_cfg(**cfg_over)
     table = emb.random_table(vocab, cfg.embed_dim, seed=seed + 50)
     return ds, vocab, cfg, table
+
+
+# --- dataset helpers --------------------------------------------------------
+
+
+def test_dataset_helpers_prepare_each_distinct_text_once(monkeypatch):
+    base = synthetic.build(n_dialogues=6, seed=0)
+    # Repeat texts within and across dialogues.
+    dialogues = [
+        Dialogue(d.id, [dataclasses.replace(u, raw_text=base.dialogues[0].utterances[i % 2].raw_text)
+                        if i % 3 == 0 else u for i, u in enumerate(d.utterances)])
+        for d in base.dialogues
+    ]
+    ds = Dataset(base.split, dialogues)
+    texts = [u.raw_text for d in ds.dialogues for u in d.utterances]
+    assert len(set(texts)) < len(texts)
+    prepare, calls = pp.prepare, []
+    monkeypatch.setattr(pp, "prepare", lambda text: calls.append(text) or prepare(text))
+
+    vocab = tr.vocab_from_dataset(ds, min_count=2)
+    assert calls == list(dict.fromkeys(texts))
+    assert vocab.tokens == pp.build_vocab([prepare(t) for t in texts], min_count=2).tokens
+    calls.clear()
+    encoded = tr.encode_dataset(ds, vocab, window_size=3)
+    assert calls == list(dict.fromkeys(texts))
+    assert encoded == [
+        [([vocab.encode(prepare(u.raw_text)) for u in w], [LABEL_INDEX[u.gold] for u in w])
+         for w in split_windows(d.utterances, 3)]
+        for d in ds.dialogues
+    ]
 
 
 # --- config -----------------------------------------------------------------
