@@ -9,8 +9,10 @@ from every utterance in the window. Rows sum to 1.
 """
 
 import argparse
+import sys
 
 from dialoglow import autodiff as ad
+from dialoglow import cli
 from dialoglow import embeddings as emb
 from dialoglow import model as m
 from dialoglow import preprocess as pp
@@ -23,19 +25,18 @@ def attention_matrix(texts, vocab, params, cfg):
     return ad.attention_weights(ad.attention_scores(u.data))
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--checkpoint", help="trained model (default: quick synthetic fit)")
-    ap.add_argument("--vocab", help="vocab file matching the checkpoint")
+    ap.add_argument("--vocab", help="vocab file (default: next to the checkpoint)")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.checkpoint:
-        if not args.vocab:
-            ap.error("--vocab is required with --checkpoint")
-        ckpt = tr.load_checkpoint(args.checkpoint)
-        vocab = pp.Vocab.load(args.vocab)
-        cfg, params = tr.params_from_checkpoint(ckpt)
+        try:  # as eval and predict do, refuse a vocab the checkpoint was not trained with
+            _, vocab, cfg, params = cli._load_model(args)
+        except (cli.CliError, tr.CheckpointError) as exc:
+            sys.exit(f"error: {exc}")
     else:
         ds = synthetic.build(n_dialogues=20, seed=args.seed)
         vocab = tr.vocab_from_dataset(ds)

@@ -54,19 +54,38 @@ def _parse_dims(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"cannot parse layer sizes from {text!r} (want e.g. 128,128)")
+        raise argparse.ArgumentTypeError(f"cannot parse layer sizes from {text!r} (want e.g. 128,128)")
 
 
-# One parser per field annotation of the config dataclasses. A bare tuple is
-# class_weights: a mode name or an explicit list, resolved after the data loads.
+def _parse_class_weights(text: str):
+    """A weighting mode, resolved after the data loads, or the explicit weights."""
+    text = text.strip()
+    if text in ("uniform", "inverse-frequency"):
+        return text
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad class_weights {text!r}: {exc}")
+
+
+def _optional(parse):
+    def parse_optional(text: str):  # blank text is None: the field's default
+        return parse(text) if text.strip() else None
+    parse_optional.__name__ = parse.__name__  # argparse names the type in its errors
+    return parse_optional
+
+
+# One parser per field annotation of the config dataclasses (a bare tuple is
+# class_weights), for config-file values and flags alike. A parser raises
+# ValueError for text of the wrong type and ArgumentTypeError with its own message.
 _PARSERS = {
     int: int,
     float: float,
     str: str,
     tuple[int, ...]: _parse_dims,
-    int | None: lambda text: int(text) if text.strip() else None,
-    float | None: lambda text: float(text) if text.strip() else None,
-    tuple: str,
+    int | None: _optional(int),
+    float | None: _optional(float),
+    tuple: _parse_class_weights,
 }
 # Config file section -> key -> parser; [model] and [train] keys are the config fields.
 _KEYS = {
@@ -97,6 +116,8 @@ def _read_config_file(path: Path) -> dict:
                 out[section][key] = keys[key](raw)
             except ValueError:
                 raise CliError(f"{path}: bad value {raw!r} for {key}")
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(str(exc))
     return out
 
 
@@ -106,26 +127,16 @@ def _build_configs(args):
     if getattr(args, "config", None):
         file_cfg = _read_config_file(Path(args.config))
     model_kw, train_kw = file_cfg["model"], file_cfg["train"]
-    # Every flag's dest is its config field name.
+    # A flag given on the command line sets its field's attribute, already parsed.
     for section, kw in (("model", model_kw), ("train", train_kw)):
-        for key in _KEYS[section]:
-            value = getattr(args, key, None)
-            if value is not None:
-                kw[key] = _parse_dims(value) if key == "fc_dims" else value
-
-    weight_mode = train_kw.pop("class_weights", "uniform").strip()
+        kw.update((key, value) for key, value in vars(args).items() if key in _KEYS[section])
+    weight_mode = train_kw.pop("class_weights", "uniform")
+    if not isinstance(weight_mode, str):
+        train_kw["class_weights"], weight_mode = weight_mode, "explicit"
     try:
-        mcfg = m.ModelConfig(**model_kw)
-        tcfg = tr.TrainConfig(**train_kw)
+        mcfg, tcfg = m.ModelConfig(**model_kw), tr.TrainConfig(**train_kw)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad configuration: {exc}")
-    if weight_mode not in ("uniform", "inverse-frequency"):
-        try:
-            weights = tuple(float(x) for x in weight_mode.split(","))
-            tcfg = dataclasses.replace(tcfg, class_weights=weights)
-        except ValueError as exc:
-            raise CliError(f"bad class_weights {weight_mode!r}: {exc}")
-        weight_mode = "explicit"
     return mcfg, tcfg, weight_mode, file_cfg["paths"]
 
 
@@ -301,7 +312,7 @@ def _load_model(args):
     file_hash = hashlib.sha256(blob).hexdigest()
     if file_hash != ckpt.vocab_sha256:
         raise CliError(
-            f"vocab hash mismatch: checkpoint was trained with {ckpt.vocab_sha256[:12]}..., "
+            f"vocab hash mismatch: {ckpt_path} was trained with {ckpt.vocab_sha256[:12]}..., "
             f"{vocab_path} hashes to {file_hash[:12]}..."
         )
     vocab = pp.Vocab.from_bytes(blob)
@@ -434,24 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="training dialogue JSON file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="sectioned key=value config file")
-    p.add_argument("--variant", choices=m.VARIANTS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, dest="lr0", metavar="LR")
-    p.add_argument("--decay", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--hidden-size", type=int, dest="hidden_size")
-    p.add_argument("--window-size", type=int, dest="window_size")
-    p.add_argument("--fc-dims", dest="fc_dims", help="comma-separated hidden layer sizes")
+    # One flag per config field, named after it (--lr sets lr0), parsed as in the file.
+    for key, parse in {**_KEYS["model"], **_KEYS["train"]}.items():
+        flag = "--lr" if key == "lr0" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, type=parse, default=argparse.SUPPRESS)
     p.add_argument("--val", help="explicit validation JSON (skips the internal split)")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--grad-clip", type=float, dest="grad_clip")
-    p.add_argument(
-        "--class-weights", dest="class_weights",
-        help="'uniform', 'inverse-frequency', or 8 comma-separated values",
-    )
     p.add_argument("--embeddings", help="pretrained word vector text file")
     p.add_argument("--freeze-embeddings", action="store_true")
     p.add_argument("--min-count", type=int, default=1)

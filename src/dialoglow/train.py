@@ -59,8 +59,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.class_weights = tuple(float(w) for w in self.class_weights)
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not 0.0 < self.lr0 < math.inf:  # a range check, as NaN fails every comparison
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.epochs is not None and self.epochs < 1:
@@ -71,14 +71,14 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be positive and finite, got {self.grad_clip}")
         if len(self.class_weights) != len(LABEL_ORDER):
             raise ValueError(
                 f"class_weights needs {len(LABEL_ORDER)} entries, got {len(self.class_weights)}"
             )
-        if any(w < 0 for w in self.class_weights):
-            raise ValueError("class weights must be non-negative")
+        if not all(0.0 <= w < math.inf for w in self.class_weights):
+            raise ValueError("class weights must be non-negative and finite")
         n = len(CONSIDERED_LABELS)
         if any(w != 0.0 for w in self.class_weights[n:]):
             raise ValueError("weights for labels outside the considered set must be exactly zero")
@@ -492,14 +492,14 @@ def infer(windows, params, cfg) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros((0, len(LABEL_ORDER)))
 
 
-def _scoring_windows(ds: Dataset, vocab: Vocab, window_size: int):
-    """(token-id windows, gold indices) over every utterance of ds, in order."""
-    windows = [w for dlg in encode_dataset(ds, vocab, window_size) for w in dlg]
+def _scoring_windows(by_dialogue):
+    """(token-id windows, gold indices) over encode_dataset's windows, in order."""
+    windows = [w for dlg in by_dialogue for w in dlg]
     return [ids_list for ids_list, _ in windows], [g for _, gs in windows for g in gs]
 
 
 def evaluate_dataset(ds: Dataset, vocab: Vocab, params, cfg) -> mx.EvalReport:
-    windows, golds = _scoring_windows(ds, vocab, cfg.window_size)
+    windows, golds = _scoring_windows(encode_dataset(ds, vocab, cfg.window_size))
     return mx.report(mx.predict(infer(windows, params, cfg)), golds)
 
 
@@ -579,7 +579,8 @@ def train(
     vocab_hash = vocab_content_sha256(vocab)
 
     by_dialogue = encode_dataset(train_ds, vocab, mcfg.window_size)
-    val_windows, val_golds = _scoring_windows(val_ds, vocab, mcfg.window_size)
+    scoring = by_dialogue if val_ds is train_ds else encode_dataset(val_ds, vocab, mcfg.window_size)
+    val_windows, val_golds = _scoring_windows(scoring)
     flat = [pair for dlg in by_dialogue for ids_list, gs in dlg for pair in zip(ids_list, gs)]
 
     shuffle_rng = ad.seeded_rng(tcfg.seed, stream=1)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -321,6 +323,132 @@ def test_train_inverse_frequency_weights_flag(tmp_path):
     weights = json.loads((out / "history.json").read_text())["config"]["train"]["class_weights"]
     assert weights[4:] == [0.0, 0.0, 0.0, 0.0]
     assert all(w > 0 for w in weights[:4])
+
+
+# The train flag of every config field, spelled out: the config file's key with
+# dashes, and --lr for lr0.
+FLAGS = {
+    "embed_dim": "--embed-dim", "hidden_size": "--hidden-size", "window_size": "--window-size",
+    "fc_dims": "--fc-dims", "variant": "--variant", "lr0": "--lr", "decay": "--decay",
+    "epochs": "--epochs", "batch_size": "--batch-size", "dropout": "--dropout",
+    "class_weights": "--class-weights", "seed": "--seed", "val_fraction": "--val-fraction",
+    "grad_clip": "--grad-clip",
+}
+SECTION = {
+    **{f.name: "model" for f in dataclasses.fields(cli.m.ModelConfig)},
+    **{f.name: "train" for f in dataclasses.fields(tr.TrainConfig)},
+}
+# One valid non-default text per field.
+GOOD = {
+    "embed_dim": "12", "hidden_size": "6", "window_size": "3", "fc_dims": "8, 4",
+    "variant": "bilstm", "lr0": "0.05", "decay": "0.5", "epochs": "4", "batch_size": "2",
+    "dropout": "0.2", "class_weights": "1,2,3,4,0,0,0,0", "seed": "9", "val_fraction": "0.3",
+    "grad_clip": "2.5",
+}
+
+
+def train_subparser():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["train"]
+
+
+def test_config_fields_are_the_flag_table():
+    assert set(SECTION) == set(FLAGS) == set(GOOD)
+
+
+@pytest.mark.parametrize("field", sorted(SECTION))
+def test_train_has_one_flag_per_config_field(field):
+    actions = [a for a in train_subparser()._actions if a.dest == field]
+    assert [a.option_strings for a in actions] == [[FLAGS[field]]]
+
+
+def test_train_flags_are_the_config_fields_and_the_run_options():
+    flags = {s for a in train_subparser()._actions for s in a.option_strings}
+    run_options = {"-h", "--help", "--out", "--config", "--val", "--embeddings",
+                   "--freeze-embeddings", "--min-count", "--quiet"}
+    assert flags == set(FLAGS.values()) | run_options
+
+
+def configs_from(tmp_path, field, text, flag_text=None):
+    """_build_configs from `field = text` in a config file and, if flag_text is
+    given, that text for the field's flag as well."""
+    argv = ["train", "x.json", "--out", "o"]
+    if text is not None:
+        argv += ["--config", str(write_config(tmp_path, f"[{SECTION[field]}]\n{field} = {text}\n"))]
+    if flag_text is not None:
+        argv += [f"{FLAGS[field]}={flag_text}"]
+    return cli._build_configs(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("field", sorted(SECTION))
+def test_flag_and_config_key_give_equal_configs(tmp_path, field):
+    by_flag = configs_from(tmp_path, field, None, GOOD[field])
+    assert by_flag == configs_from(tmp_path, field, GOOD[field])
+    mcfg, tcfg, _, _ = by_flag
+    cfg, default = (mcfg, cli.m.ModelConfig()) if SECTION[field] == "model" else (tcfg, tr.TrainConfig())
+    assert getattr(cfg, field) != getattr(default, field)
+
+
+@pytest.mark.parametrize("field", ["fc_dims", "epochs", "grad_clip"])
+def test_blank_flag_means_what_a_blank_key_means_and_wins_over_the_file(tmp_path, field):
+    blank = configs_from(tmp_path, field, "")
+    assert configs_from(tmp_path, field, None, "") == blank
+    assert configs_from(tmp_path, field, GOOD[field], "") == blank
+
+
+BAD = {"fc_dims": "8;8", "variant": "lstm", "class_weights": "1,1,x"}
+
+
+@pytest.mark.parametrize("field", sorted(SECTION))
+def test_bad_flag_value_exits_2_with_one_error_line_naming_the_flag(tmp_path, capsys, field):
+    argv = ["train", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]
+    argv += [FLAGS[field], BAD.get(field, "x")]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the text itself
+        rc = exc.code
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    if field == "variant":  # any text parses as a str; ModelConfig refuses it, as from a file
+        assert errors == [
+            "error: bad configuration: variant must be one of ('bilstm', 'sa-bilstm'), got 'lstm'"
+        ]
+    else:
+        assert f"error: argument {FLAGS[field]}: " in errors[0] and "<lambda>" not in errors[0]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        ("lr0", "nan", "lr0 must be positive and finite, got nan"),
+        ("lr0", "inf", "lr0 must be positive and finite, got inf"),
+        ("grad_clip", "nan", "grad_clip must be positive and finite, got nan"),
+        ("grad_clip", "-inf", "grad_clip must be positive and finite, got -inf"),
+        ("class_weights", "nan,1,1,1,0,0,0,0", "class weights must be non-negative and finite"),
+        ("class_weights", "1,1,inf,1,0,0,0,0", "class weights must be non-negative and finite"),
+    ],
+)
+def test_non_finite_settings_exit_2_as_bad_configuration(tmp_path, capsys, source, field, text, message):
+    argv = ["train", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]
+    if source == "flag":
+        argv += [f"{FLAGS[field]}={text}"]
+    else:
+        argv += ["--config", str(write_config(tmp_path, f"[train]\n{field} = {text}\n"))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+
+
+def test_history_json_is_strict_json(tmp_path):
+    rc, out = run_train(tmp_path, extra=["--grad-clip", "1.0"])
+    assert rc == 0
+
+    def refuse(constant):
+        raise AssertionError(f"history.json holds {constant}")
+
+    history = json.loads((out / "history.json").read_text(), parse_constant=refuse)
+    assert history["config"]["train"]["grad_clip"] == 1.0
 
 
 # --- eval -------------------------------------------------------------------

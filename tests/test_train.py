@@ -81,6 +81,22 @@ def test_dataset_helpers_prepare_each_distinct_text_once(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("val_fraction", [0.0, 0.2])
+def test_train_prepares_each_distinct_text_of_each_set_once(monkeypatch, val_fraction):
+    ds = synthetic.build(n_dialogues=30, seed=3)
+    vocab = tr.vocab_from_dataset(ds)
+    cfg = tiny_model_cfg()
+    table = emb.random_table(vocab, cfg.embed_dim, seed=0)
+    tcfg = tr.TrainConfig(epochs=1, val_fraction=val_fraction)
+    train_ds, val_ds = tr.split_for_training(ds, tcfg)
+    prepare, calls = pp.prepare, []
+    monkeypatch.setattr(pp, "prepare", lambda text: calls.append(text) or prepare(text))
+    tr.train(ds, vocab, table, cfg, tcfg)
+    # The scoring set is the training set when nothing is held out: encoded once.
+    texts = lambda d: list(dict.fromkeys(u.raw_text for dlg in d.dialogues for u in dlg.utterances))
+    assert calls == texts(train_ds) + (texts(val_ds) if val_ds is not train_ds else [])
+
+
 # --- config -----------------------------------------------------------------
 
 
@@ -107,6 +123,12 @@ def test_train_config_defaults_and_variant_epochs():
         dict(class_weights=(1.0,) * 7),
         dict(class_weights=(1, 1, 1, -1, 0, 0, 0, 0)),
         dict(class_weights=(1, 1, 1, 1, 0.5, 0, 0, 0)),  # non-considered must be 0
+        dict(lr0=math.nan),
+        dict(lr0=math.inf),
+        dict(grad_clip=math.nan),
+        dict(grad_clip=math.inf),
+        dict(class_weights=(math.nan, 1, 1, 1, 0, 0, 0, 0)),
+        dict(class_weights=(1, math.inf, 1, 1, 0, 0, 0, 0)),
     ],
 )
 def test_train_config_rejects_bad_values(bad):
