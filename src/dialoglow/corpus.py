@@ -167,13 +167,16 @@ def load_dataset(path: "str | Path", split: Split) -> Dataset:
                 raise CorpusError(
                     f"{path}: dialogue {di}, utterance {ui} has non-string fields"
                 )
-            try:
-                gold = EmotionLabel.parse(emotion)
-            except CorpusError:
-                raise CorpusError(
-                    f"{path}: unknown emotion {emotion!r} in dialogue {di}"
-                ) from None
-            utts.append(Utterance(speaker_id=speaker, raw_text=text_field, gold=gold))
+            # A canonical label string needs no strip or lowercasing.
+            gold = _LABEL_BY_NAME.get(emotion)
+            if gold is None:
+                try:
+                    gold = EmotionLabel.parse(emotion)
+                except CorpusError:
+                    raise CorpusError(
+                        f"{path}: unknown emotion {emotion!r} in dialogue {di}"
+                    ) from None
+            utts.append(Utterance(speaker, text_field, gold))
         dialogues.append(Dialogue(id=f"{split.value}-{di:04d}", utterances=utts))
     return Dataset(split=split, dialogues=dialogues)
 

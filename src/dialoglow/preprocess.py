@@ -8,6 +8,12 @@ one letter or digit (a character where str.isalnum() is true), or two or
 more of one other mark, shrink to one copy and add a <duplicate> marker.
 Tokenization keeps placeholders and contractions whole and splits
 punctuation off. Each stage is idempotent.
+
+The URL, emoji and number passes run only on a text where a cheap test
+says their pattern can match (a "://" or "www.", a non-ASCII character, a
+digit); names and locations are replaced in one pass over both lexicons;
+duplicate-collapse rewrites a text from the chunk that holds its first run
+on. The output is the same as running every pass over the whole text.
 """
 from __future__ import annotations
 
@@ -35,12 +41,17 @@ _NUMBER_RE = re.compile(r"\b\d+(?:[.,:]\d+)*\b")
 _PLACEHOLDER_CHUNK_RE = re.compile(r"^<[a-z]+>$")
 _TOKEN_RE = re.compile(r"<[a-z]+>|[a-z0-9]+(?:'[a-z0-9]+)*|\S")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+_DIGIT_RE = re.compile(r"\d")
 # [^\W_] is exactly the characters where str.isalnum() is true.
 _LETTER_RUN_RE = re.compile(r"([^\W_])\1\1+")
 _MARK_RUN_RE = re.compile(r"([^\w\s]|_)\1+")
 # A whitespace-delimited chunk that holds a run. The lookbehind keeps the
 # lookahead to chunk starts, so a chunk is scanned once, not once per character.
 _RUN_CHUNK_RE = re.compile(r"(?<!\S)(?=\S*?(?:([^\W_])\1\1|([^\w\s]|_)\2))\S+")
+# Where a run starts: two equal adjacent non-space characters, followed by a
+# third unless they are not letters or digits. It finds what _RUN_CHUNK_RE's
+# lookahead finds, but without its per-chunk lookahead.
+_RUN_RE = re.compile(r"(\S)\1(?:\1|(?<![^\W_]))")
 # \s is exactly the characters where str.isspace() is true.
 _SPACE_RE = re.compile(r"\s")
 
@@ -62,21 +73,29 @@ def _emoji_table() -> dict[str, str]:
 
 
 @functools.cache
-def _lexicon_re(which: str) -> "re.Pattern[str]":
-    entries = sorted(_read_table(_DATA_DIR / f"{which}.tsv"), key=len, reverse=True)
-    return re.compile(r"\b(?:" + "|".join(re.escape(e) for e in entries) + r")\b")
+def _lexicon() -> "tuple[re.Pattern[str], dict[str, str]]":
+    """One pattern over every name and location, and each entry's placeholder."""
+    table = {**_read_table(_DATA_DIR / "names.tsv"), **_read_table(_DATA_DIR / "locations.tsv")}
+    entries = sorted(table, key=len, reverse=True)
+    return re.compile(r"\b(?:" + "|".join(re.escape(e) for e in entries) + r")\b"), table
 
 
 def clean_text(raw: str) -> str:
     """Normalize one raw utterance to lowercase ASCII plus placeholders."""
-    s = _URL_RE.sub("<url>", raw)
-    emoji = _emoji_table()
-    # A table emoji becomes its meaning; any other non-ASCII character is dropped.
-    s = _NON_ASCII_RE.sub(lambda m: f" {emoji[m[0]]} " if m[0] in emoji else "", s)
+    # IGNORECASE lets no character but W stand for w, and "://" is literal.
+    s = _URL_RE.sub("<url>", raw) if "://" in raw or "www." in raw.lower() else raw
+    if not s.isascii():
+        emoji = _emoji_table()
+        # A table emoji becomes its meaning; any other non-ASCII character is dropped.
+        s = _NON_ASCII_RE.sub(lambda m: f" {emoji[m[0]]} " if m[0] in emoji else "", s)
     s = s.lower()
-    s = _NUMBER_RE.sub("<number>", s)
-    s = _lexicon_re("names").sub("<name>", s)
-    s = _lexicon_re("locations").sub("<location>", s)
+    if _DIGIT_RE.search(s):
+        s = _NUMBER_RE.sub("<number>", s)
+    # A name is one word, and no location holds a name (or the "name" of
+    # <name>) as a word, so one pass gives what a names pass, then a
+    # locations pass, would give.
+    lexicon, placeholder = _lexicon()
+    s = lexicon.sub(lambda m: placeholder[m[0]], s)
     return " ".join(s.split())
 
 
@@ -105,7 +124,14 @@ def collapse_duplicates(text: str) -> str:
     "<name>" stay whole. "cool" stays as is, "oooooh" becomes
     "oh <duplicate>" and "oh!!!!!!" becomes "oh ! <duplicate>".
     """
-    return " ".join(_RUN_CHUNK_RE.sub(_collapse_chunk, text).split())
+    s = " ".join(text.split())
+    first = _RUN_RE.search(s)
+    if first is None:
+        return s
+    # The chunks before the first run's chunk hold no run; _collapse_chunk
+    # joins its pieces with single spaces, so the result stays normalized.
+    i = s.rfind(" ", 0, first.start()) + 1
+    return s[:i] + _RUN_CHUNK_RE.sub(_collapse_chunk, s[i:])
 
 
 def tokenize(text: str) -> TokenSequence:

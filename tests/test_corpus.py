@@ -76,10 +76,18 @@ def test_malformed_json_reports_byte_offset(tmp_path):
 
 def test_unknown_emotion_names_string_and_dialogue(tmp_path):
     bad = [DIAL[0], [{"speaker": "x", "utterance": "y", "emotion": "confuzzled"}]]
+    p = write_corpus(tmp_path, bad)
     with pytest.raises(CorpusError) as err:
-        corpus.load_dataset(write_corpus(tmp_path, bad), Split.TRAIN)
-    msg = str(err.value)
-    assert "'confuzzled'" in msg and "dialogue 1" in msg
+        corpus.load_dataset(p, Split.TRAIN)
+    assert str(err.value) == f"{p}: unknown emotion 'confuzzled' in dialogue 1"
+
+
+@pytest.mark.parametrize("label", [" Joy ", "JOY\n", "joy"], ids=repr)
+def test_label_spellings_load_as_the_canonical_label(tmp_path, label):
+    # "joy" takes the canonical-string lookup; the others fall back to parse().
+    doc = [[{"speaker": "a", "utterance": "hi", "emotion": label}]]
+    ds = corpus.load_dataset(write_corpus(tmp_path, doc), Split.TRAIN)
+    assert ds.dialogues[0].utterances[0].gold is EmotionLabel.JOY
 
 
 def test_empty_dialogue_rejected(tmp_path):
