@@ -6,9 +6,12 @@ with its input gate shut at padding steps. ``bilstm_max`` runs its two
 directions one after the other, as the op did on one thread. Both take the
 matrix product as an argument, ``np.matmul`` (the ``@`` of the original) by
 default, so a check can swap in one whose rows do not depend on each other.
+The gates use the package's ``sigmoid``: the oracle checks the packing, not
+how ``exp`` is computed.
 """
 import numpy as np
-from scipy.special import expit
+
+from dialoglow.autodiff import sigmoid
 
 
 def pooled_lstm(xs, real, w, b, reverse, matmul=np.matmul):
@@ -22,7 +25,7 @@ def pooled_lstm(xs, real, w, b, reverse, matmul=np.matmul):
     hid = b.shape[0] // 4
     w_x, w_h = w[:, :d], w[:, d:]
     pre = (matmul(xs.reshape(-1, d), w_x.T) + b).reshape(steps, n, 4 * hid)
-    pre[:, :, :hid][~real[:, :, 0]] = -np.inf  # shut input gate: expit gives exactly 0.0
+    pre[:, :, :hid][~real[:, :, 0]] = -np.inf  # shut input gate: sigmoid gives exactly 0.0
     acts = np.empty_like(pre)  # gate activations i, f, g, o
     cells = np.zeros((steps + 1, n, hid))
     hs = np.zeros((steps + 1, n, hid))
@@ -33,7 +36,8 @@ def pooled_lstm(xs, real, w, b, reverse, matmul=np.matmul):
     for s in reversed(range(steps)) if reverse else range(steps):
         z = pre[s] + matmul(h_in[s], w_h.T)
         a = acts[s]
-        a[:] = expit(z)
+        a[:] = z
+        sigmoid(a)
         a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
         i, f, g, o = np.split(a, 4, axis=1)
         c_out[s] = f * c_in[s] + i * g

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from dialoglow import autodiff as ad
 from helpers import project
@@ -90,8 +89,8 @@ def lstm_states(xs, w, b):
     states = []
     for xt in xs:
         i, f, g, o = np.split(w @ np.concatenate([xt, h]) + b, 4)
-        c = expit(f) * c + expit(i) * np.tanh(g)
-        h = expit(o) * np.tanh(c)
+        c = ad.sigmoid(f) * c + ad.sigmoid(i) * np.tanh(g)
+        h = ad.sigmoid(o) * np.tanh(c)
         states.append(h)
     return np.array(states)
 
@@ -306,6 +305,44 @@ def test_softmax_shift_invariant(seed, shift):
     base = ad.attention_weights(scores)
     moved = ad.attention_weights(scores + shift)
     assert np.allclose(base, moved, atol=1e-12)
+
+
+def libm_sigmoid(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=64))
+def test_sigmoid_is_within_8_ulp_of_libm(xs):
+    got = ad.sigmoid(np.array(xs))
+    want = np.array([libm_sigmoid(x) for x in xs])
+    # Both are non-negative, so their bit patterns order like their values.
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 8
+
+
+def test_sigmoid_exact_values_without_warnings():
+    x = np.array([-np.inf, np.inf, 0.0, 1000.0, -1000.0, -745.0])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sigmoid(x)
+    assert out is x
+    assert out.tolist() == [0.0, 1.0, 0.5, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("hid", [1, 3, 8, 256])
+def test_sigmoid_in_place_on_gate_blocks_equals_a_contiguous_copy(hid):
+    # _pooled_lstm activates the (i, f) and o column blocks of each step's (m, 4h) rows.
+    rng = np.random.default_rng(hid)
+    for m in range(1, 41):
+        a = rng.normal(0.0, 4.0, size=(m, 4 * hid))
+        want = [ad.sigmoid(a[:, : 2 * hid].copy()), ad.sigmoid(a[:, 3 * hid :].copy())]
+        ad.sigmoid(a[:, : 2 * hid])
+        ad.sigmoid(a[:, 3 * hid :])
+        assert np.array_equal(a[:, : 2 * hid], want[0])
+        assert np.array_equal(a[:, 3 * hid :], want[1])
 
 
 def test_dropout_eval_is_identity_and_train_scales():

@@ -5,6 +5,8 @@ import json
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -738,3 +740,38 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "dialoglow" in capsys.readouterr().out
+
+
+# numpy is the only runtime dependency: a process in which scipy cannot be
+# imported still runs every command, and no scipy module gets loaded.
+WITHOUT_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from dialoglow import cli, synthetic
+from helpers import serialize_dataset
+
+data = sys.argv[1] + "/train.json"
+with open(data, "w") as fh:
+    json.dump(serialize_dataset(synthetic.build(n_dialogues=6, seed=0)), fh)
+small = ["--embed-dim", "8", "--hidden-size", "4", "--window-size", "4", "--fc-dims", "8"]
+for argv in (
+    ["gradcheck"],
+    ["preprocess", data, "--out", sys.argv[1] + "/prep"],
+    ["train", data, "--out", sys.argv[1] + "/run", "--epochs", "1", "--quiet", *small],
+    ["predict", sys.argv[1] + "/run/checkpoint.bin", data, "--out", sys.argv[1] + "/p.json"],
+):
+    rc = cli.main(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited with {rc}")
+loaded = sorted(k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None)
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_every_command_runs_in_a_process_without_scipy(tmp_path):
+    paths = [str(pathlib.Path(cli.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert (tmp_path / "p.json").is_file()
