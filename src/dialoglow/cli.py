@@ -391,6 +391,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 <= args.seed < 2**64:  # the range of the Philox key
+        raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
     started = time.monotonic()
     cfg = m.ModelConfig(
         embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,), variant="sa-bilstm"

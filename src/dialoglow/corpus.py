@@ -14,8 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
+from .autodiff import seeded_rng
 from .files import read_text
 
 
@@ -97,9 +96,6 @@ class Dataset:
         ids = [d.id for d in self.dialogues]
         if len(set(ids)) != len(ids):
             raise CorpusError(f"duplicate dialogue ids in {self.split.value} split")
-
-    def __len__(self) -> int:
-        return len(self.dialogues)
 
     def utterance_count(self) -> int:
         return sum(len(d) for d in self.dialogues)
@@ -221,9 +217,7 @@ def split_train_validation(
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"validation fraction must be in [0, 1), got {fraction}")
     n_val = int(round(len(ds.dialogues) * fraction))
-    order = np.random.Generator(np.random.Philox(key=np.uint64(seed))).permutation(
-        len(ds.dialogues)
-    )
+    order = seeded_rng(seed).permutation(len(ds.dialogues))
     val_idx = set(order[:n_val].tolist())
     train = [d for i, d in enumerate(ds.dialogues) if i not in val_idx]
     val = [d for i, d in enumerate(ds.dialogues) if i in val_idx]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CONSIDERED_LABELS, EmotionLabel, LABEL_INDEX
+from .corpus import CONSIDERED_LABELS
 
 N_CONSIDERED = len(CONSIDERED_LABELS)
 
@@ -20,18 +20,10 @@ class MetricsError(ValueError):
     """Raised when a score is requested for an empty or malformed tally."""
 
 
-def _label_index(value) -> int:
-    if isinstance(value, EmotionLabel):
-        return LABEL_INDEX[value]
-    return int(value)
-
-
 class ConfusionMatrix:
     """4x4 integer tally, rows = gold, columns = predicted."""
 
-    def __init__(self, counts=None, ignored: int = 0):
-        if counts is None:
-            counts = np.zeros((N_CONSIDERED, N_CONSIDERED), dtype=np.int64)
+    def __init__(self, counts, ignored: int = 0):
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (N_CONSIDERED, N_CONSIDERED):
             raise MetricsError(f"confusion counts must be 4x4, got {counts.shape}")
@@ -44,14 +36,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         """Number of scored utterances (ignored ones excluded)."""
         return int(self.counts.sum())
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return self.ignored == other.ignored and np.array_equal(self.counts, other.counts)
-
-    def __repr__(self):
-        return f"ConfusionMatrix(counts={self.counts.tolist()}, ignored={self.ignored})"
 
 
 def predict(logits) -> list[int]:
@@ -69,13 +53,11 @@ def predict(logits) -> list[int]:
 
 
 def confusion(preds, golds) -> ConfusionMatrix:
-    """Tally predictions against gold labels.
+    """Tally predicted against gold label indices (``LABEL_INDEX`` order).
 
     Gold labels outside the considered set only bump the ignored count;
     predictions must already be restricted to the considered range.
     """
-    preds = [_label_index(p) for p in preds]
-    golds = [_label_index(g) for g in golds]
     if len(preds) != len(golds):
         raise MetricsError(f"{len(preds)} predictions vs {len(golds)} gold labels")
     counts = np.zeros((N_CONSIDERED, N_CONSIDERED), dtype=np.int64)

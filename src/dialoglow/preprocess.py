@@ -187,9 +187,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def encode(self, seq: Iterable[str]) -> list[int]:
         """Map tokens to ids; unknown tokens (and any literal <pad>) to <unk>."""
         # PAD_ID is 0, the one falsy id, so `or` sends a literal <pad> to <unk>.

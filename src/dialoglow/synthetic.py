@@ -20,21 +20,21 @@ KEYWORDS = {
 FILLERS = ("well", "i", "feel", "so", "um", "really", "right", "now", "today", "honestly")
 
 
-def build(n_dialogues: int = 20, seed: int = 0, min_len: int = 3, max_len: int = 6,
-          off_label_every: int = 8) -> Dataset:
-    """Build a labeled corpus; every off_label_every-th utterance goes
-    to a non-considered emotion so the zero-weight path gets exercised."""
+def build(n_dialogues: int = 20, seed: int = 0) -> Dataset:
+    """Build a labeled corpus of 3 to 6 utterances per dialogue; every 8th
+    utterance goes to a non-considered emotion so the zero-weight path gets
+    exercised."""
     if n_dialogues < 1:
         raise ValueError("need at least one dialogue")
     rng = ad.seeded_rng(seed, stream=5)
     dialogues = []
     counter = 0
     for di in range(n_dialogues):
-        n_utt = int(rng.integers(min_len, max_len + 1))
+        n_utt = int(rng.integers(3, 7))
         utts = []
         for ui in range(n_utt):
             counter += 1
-            if off_label_every and counter % off_label_every == 0:
+            if counter % 8 == 0:
                 label = EmotionLabel.SURPRISE
             else:
                 label = CONSIDERED_LABELS[counter % len(CONSIDERED_LABELS)]

@@ -59,6 +59,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.class_weights = tuple(float(w) for w in self.class_weights)
+        if not 0 <= self.seed < 2**64:  # the range of the Philox key
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 < self.lr0 < math.inf:  # a range check, as NaN fails every comparison
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.decay <= 1.0:
@@ -134,7 +136,7 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 
 
 def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place on each parameter's C-contiguous array.
 
     Parameters missing from grads are treated as zero-gradient (their
     moments still decay). The epsilon sits outside the square root. A
@@ -152,8 +154,6 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
         sparse = isinstance(g, ad.RowGrad)
         if g is not None and not np.all(np.isfinite(g.rows if sparse else g)):
             raise ValueError(f"non-finite gradient for {name!r}")
-        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
-            p.data = p.data.copy()  # the update writes through reshaped views of p.data
         p2 = _as_rows(p.data)
         width = p2.shape[1]
         moved, slot = state.moved[name], state.slot[name]

@@ -199,7 +199,7 @@ def test_tensor_is_float64_and_scalar_item():
     t = ad.Tensor([[1, 2], [3, 4]])
     assert t.data.dtype == np.float64
     assert not t.requires_grad
-    assert ad.Tensor(3.5).item() == 3.5
+    assert ad.Tensor(3.5).shape == ()
 
 
 def test_shape_mismatch_errors_name_both_shapes():
@@ -377,7 +377,7 @@ def test_weighted_nll_all_zero_weights_is_constant_zero():
     logits = ad.Tensor(np.random.default_rng(3).normal(size=(4, 8)), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.weighted_nll(logits, [0, 1, 2, 3], np.zeros(4))
-    assert loss.item() == 0.0
+    assert float(loss.data) == 0.0
     assert len(tape) == 0
 
 
@@ -415,6 +415,20 @@ def test_grad_check_flags_wrong_gradient():
         return project(y, np.ones(2))
 
     assert ad.grad_check(broken, [x]) > 0.2
+
+
+@pytest.mark.parametrize(
+    "x, w0", [(1e10, 1e300), (np.finfo(np.float64).max, 1.0)], ids=["at-the-point", "perturbed"]
+)
+def test_grad_check_names_the_op_whose_forward_pass_overflows(x, w0):
+    # x * w overflows at the point, or, for the largest float times 1.0, only
+    # once grad_check perturbs w up by eps.
+    w = ad.Tensor([[w0]], requires_grad=True)
+    f = lambda: project(ad.affine(ad.Tensor([[x]]), w, ad.Tensor([0.0])), [[1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+        FloatingPointError, match="^affine produced a non-finite value$"
+    ):
+        ad.grad_check(f, [w])
 
 
 def test_seeded_rng_reproducible_and_streams_distinct():

@@ -442,6 +442,19 @@ def test_non_finite_settings_exit_2_as_bad_configuration(tmp_path, capsys, sourc
     assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2_as_bad_configuration(tmp_path, capsys, source, seed):
+    argv = ["train", str(write_corpus(tmp_path)), "--out", str(tmp_path / "x")]
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        argv += ["--config", str(write_config(tmp_path, f"[train]\nseed = {seed}\n"))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad configuration: seed must be in [0, 2**64), got {seed}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_history_json_is_strict_json(tmp_path):
     rc, out = run_train(tmp_path, extra=["--grad-clip", "1.0"])
     assert rc == 0
@@ -733,6 +746,12 @@ def test_gradcheck_passes_default_tolerance(capsys):
 def test_gradcheck_fails_on_unreachable_tolerance(capsys):
     assert cli.main(["gradcheck", "--tolerance", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_gradcheck_refuses_an_out_of_range_seed(capsys, seed):
+    assert cli.main(["gradcheck", "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
 
 
 def test_version_flag(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialoglow import autodiff as ad
 from dialoglow import corpus
 from dialoglow.corpus import (
     CorpusError,
@@ -37,7 +38,7 @@ def write_corpus(tmp_path, payload, name="corpus.json"):
 def test_load_dataset_reads_fields_and_labels(tmp_path):
     ds = corpus.load_dataset(write_corpus(tmp_path, DIAL), Split.TRAIN)
     assert ds.split is Split.TRAIN
-    assert len(ds) == 2 and ds.utterance_count() == 5
+    assert len(ds.dialogues) == 2 and ds.utterance_count() == 5
     first = ds.dialogues[0].utterances[0]
     assert first.speaker_id == "Chandler"
     assert first.raw_text == "Could I BE any more bored?"
@@ -195,15 +196,24 @@ def test_train_validation_split_partitions_and_is_seeded():
     tr2, va2 = corpus.split_train_validation(ds, 0.3, seed=9)
     assert [d.id for d in tr1.dialogues] == [d.id for d in tr2.dialogues]
     assert [d.id for d in va1.dialogues] == [d.id for d in va2.dialogues]
-    assert len(va1) == 3 and len(tr1) == 7
+    assert len(va1.dialogues) == 3 and len(tr1.dialogues) == 7
     assert {d.id for d in tr1.dialogues} | {d.id for d in va1.dialogues} == {
         f"d{i}" for i in range(10)
     }
     assert not ({d.id for d in tr1.dialogues} & {d.id for d in va1.dialogues})
     tr3, va3 = corpus.split_train_validation(ds, 0.0, seed=9)
-    assert len(va3) == 0 and len(tr3) == 10
+    assert len(va3.dialogues) == 0 and len(tr3.dialogues) == 10
     with pytest.raises(ValueError):
         corpus.split_train_validation(ds, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("n, fraction, seed", [(10, 0.3, 9), (7, 0.5, 0), (25, 0.1, 2**64 - 1)])
+def test_split_holds_out_the_first_dialogues_of_the_seeded_permutation(n, fraction, seed):
+    ds = Dataset(split=Split.TRAIN, dialogues=[make_dialogue(2, f"d{i}") for i in range(n)])
+    train, val = corpus.split_train_validation(ds, fraction, seed)
+    held = set(ad.seeded_rng(seed).permutation(n)[: round(n * fraction)].tolist())
+    assert [d.id for d in val.dialogues] == [f"d{i}" for i in range(n) if i in held]
+    assert [d.id for d in train.dialogues] == [f"d{i}" for i in range(n) if i not in held]
 
 
 def test_considered_labels_are_first_four_in_order():
