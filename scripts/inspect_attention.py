@@ -31,6 +31,8 @@ def main(argv=None):
     ap.add_argument("--vocab", help="vocab file (default: next to the checkpoint)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if not 0 <= args.seed < 2**64 - 1:  # seed and the table's seed + 1 key Philox generators
+        ap.error(f"--seed must be in [0, 2**64 - 1), got {args.seed}")
 
     if args.checkpoint:
         try:  # as eval and predict do, refuse a vocab the checkpoint was not trained with

@@ -16,7 +16,7 @@ from dialoglow import synthetic
 from dialoglow import train as tr
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dialogues", type=int, default=20)
     ap.add_argument("--epochs", type=int, default=60)
@@ -25,22 +25,29 @@ def main():
     ap.add_argument("--variant", choices=m.VARIANTS, default="sa-bilstm")
     ap.add_argument("--hidden-size", type=int, default=8)
     ap.add_argument("--embed-dim", type=int, default=16)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if not 0 <= args.seed < 2**64 - 1:  # seed and the table's seed + 1 key Philox generators
+        ap.error(f"--seed must be in [0, 2**64 - 1), got {args.seed}")
+    if args.dialogues < 1:
+        ap.error(f"--dialogues must be at least 1, got {args.dialogues}")
+    try:
+        cfg = m.ModelConfig(
+            embed_dim=args.embed_dim,
+            hidden_size=args.hidden_size,
+            window_size=8,
+            fc_dims=(16,),
+            variant=args.variant,
+        )
+        tcfg = tr.TrainConfig(
+            epochs=args.epochs, lr0=args.lr, decay=0.995, dropout=0.0,
+            seed=args.seed, val_fraction=0.0,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     ds = synthetic.build(n_dialogues=args.dialogues, seed=args.seed)
     vocab = tr.vocab_from_dataset(ds)
-    cfg = m.ModelConfig(
-        embed_dim=args.embed_dim,
-        hidden_size=args.hidden_size,
-        window_size=8,
-        fc_dims=(16,),
-        variant=args.variant,
-    )
     table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed + 1)
-    tcfg = tr.TrainConfig(
-        epochs=args.epochs, lr0=args.lr, decay=0.995, dropout=0.0,
-        seed=args.seed, val_fraction=0.0,
-    )
 
     started = time.monotonic()
 

@@ -1,12 +1,13 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Only the operations the dialogue model records are provided. Two are whole
-layers: ``bilstm_max`` packs a padded batch's real tokens, rows sorted longest
-first, runs both LSTM directions over them and max-pools them;
-``self_attention`` mixes a window's rows by scaled dot-product weights. Every op runs on plain
-numpy arrays; while a tape is open, ops that touch a gradient-bearing tensor
-append a backward rule to it, and ``backward`` replays the tape in reverse. Creation order is
-already topological, so no sorting is needed and every rule fires at most once.
+layers: ``bilstm_max`` takes utterances' token vectors back to back, packs them
+step by step with the rows sorted longest first, runs both LSTM directions
+over them and max-pools them; ``self_attention`` mixes a window's rows by
+scaled dot-product weights. Every op runs on plain numpy arrays; while a
+tape is open, ops that touch a gradient-bearing tensor append a backward rule
+to it, and ``backward`` replays the tape in reverse. Creation order is already
+topological, so no sorting is needed and every rule fires at most once.
 
 ``bilstm_max`` is the only op that uses a second thread. When its weights
 are large enough (PARALLEL_MIN_WEIGHTS) and the usable CPUs hold both
@@ -173,29 +174,28 @@ class RowGrad:
 
 
 def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
-    """Select rows of a matrix by an index array of any rank; gradient scatter-adds back.
+    """Select rows of a matrix by a 1-d index array; gradient scatter-adds back.
 
-    The result has shape ``ids.shape + (a.shape[1],)`` and the gradient is a
+    The result has shape ``(len(ids), a.shape[1])`` and the gradient is a
     RowGrad over the distinct ids. Rows listed in ``stop_grad_rows`` never
     receive gradient, which keeps reserved rows (like an all-zero padding
     row) fixed under training.
     """
     _require_shape("gather_rows", a.shape, 2)
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("gather_rows: ids must be a non-empty index array")
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("gather_rows: ids must be a non-empty 1-d index array")
     if idx.min() < 0 or idx.max() >= a.shape[0]:
         raise ValueError(f"gather_rows: ids out of range for shape {a.shape}")
     shape = a.shape
     frozen = tuple(stop_grad_rows)
 
     def rule(g):
-        flat = idx.reshape(-1)
-        keep = ~np.isin(flat, frozen)
-        row_ids, slot = np.unique(flat[keep], return_inverse=True)
+        keep = ~np.isin(idx, frozen)
+        row_ids, slot = np.unique(idx[keep], return_inverse=True)
         rows = np.zeros((len(row_ids), shape[1]))
         # Each row sums its occurrences in index order, as a dense scatter-add would.
-        np.add.at(rows, slot, g.reshape(-1, shape[1])[keep])
+        np.add.at(rows, slot, g[keep])
         return (RowGrad(shape, row_ids, rows),)
 
     return _out(a.data[idx], (a,), rule)
@@ -222,17 +222,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pack(lengths: np.ndarray):
-    """The packed layout of a ragged batch: rows sorted longest first, then time-major.
+    """The packed layout of rows laid back to back: rows sorted longest first, then time-major.
 
     Returns ``order``, the caller's row of each sorted row (a stable sort);
     ``sizes``, the number of live rows per step, which never grows, since step
     s holds the sorted rows ``[:sizes[s]]``; and, for every packed position,
-    the caller's row and the step it holds.
+    the row of the back-to-back input it holds.
     """
     order = np.argsort(-lengths, kind="stable")
     live = lengths[order] > np.arange(lengths.max())[:, None]  # (steps, n)
     steps, ranks = np.nonzero(live)
-    return order, live.sum(axis=1), order[ranks], steps
+    starts = np.cumsum(lengths) - lengths
+    return order, live.sum(axis=1), starts[order[ranks]] + steps
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -252,12 +253,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
     """One LSTM direction over a packed batch, max-pooled over each row's steps.
 
-    ``xp`` is (tokens, d): the real steps of n rows sorted longest first, laid
+    ``xp`` is (tokens, d): the steps of n rows sorted longest first, laid
     out step by step, each step a block of its ``sizes[s]`` live rows, which
     are a prefix of the rows (see ``_pack``). ``reverse`` walks from the last
     step down; a row then joins when the walk reaches its last step, from the
     zero state. Only live rows are computed: the input projection is one GEMM
-    over the real tokens and each step's recurrent GEMM covers the rows that
+    over the tokens and each step's recurrent GEMM covers the rows that
     carry a state over from the step before. The gates are computed in place,
     in the input projection's buffer. Returns the (n, h) maximum of the
     hidden state over each row's steps, in sorted row order, and the BPTT
@@ -405,19 +406,19 @@ def _both(parallel: bool, first: Callable, second: Callable):
 def bilstm_max(
     x: Tensor, lengths: Sequence[int], fwd_w: Tensor, fwd_b: Tensor, bwd_w: Tensor, bwd_b: Tensor
 ) -> Tensor:
-    """Max-pooled BiLSTM vectors of a padded batch, (n, 2h), computed over its real steps only.
+    """Max-pooled BiLSTM vectors of rows laid back to back, (n, 2h).
 
-    ``x`` is (n, steps, d); row r holds ``lengths[r]`` real steps followed
-    by padding. Each direction's ``w`` is (4h, d + h) acting on [x_t, h_prev]
-    and its ``b`` is (4h,), gates stacked input, forget, cell, output; no
-    peepholes. The rows are sorted longest first and their real steps packed
-    step by step (``_pack``), so padding never enters a product and its ``dx``
-    is exactly 0. Both directions read the packed steps: the forward one from
-    the first step up, the backward one from each row's last real step down.
-    Row r is the maximum over its real steps of the forward hidden state,
-    then of the backward one. Of tied steps, the first in time takes the
-    gradient, in both directions. No product runs on one row (``_product``),
-    so a row's output does not depend on the other rows of the batch.
+    ``x`` is (tokens, d): row r's ``lengths[r]`` steps follow the rows
+    before it, and the lengths are positive and sum to ``tokens``. Each
+    direction's ``w`` is (4h, d + h) acting on [x_t, h_prev] and its ``b`` is
+    (4h,), gates stacked input, forget, cell, output; no peepholes. The rows
+    are sorted longest first and their steps packed step by step (``_pack``).
+    Both directions read the packed steps: the forward one from the first
+    step up, the backward one from each row's last step down. Row r is the
+    maximum over its steps of the forward hidden state, then of the backward
+    one. Of tied steps, the first in time takes the gradient, in both
+    directions. No product runs on one row (``_product``), so a row's output
+    does not depend on the other rows of the batch.
 
     The forward direction runs on the calling thread, the backward one on
     the worker thread at the same time, for the output and again for the
@@ -427,24 +428,24 @@ def bilstm_max(
     count left at its default of one per CPU. The tape record and ``dx``'s
     sum happen on the calling thread in a fixed order either way.
     """
-    _require_shape("bilstm_max", x.shape, 3)
-    n, steps, d = x.shape
+    _require_shape("bilstm_max", x.shape, 2)
+    tokens, d = x.shape
     hid = fwd_w.shape[0] // 4
     for w, b in ((fwd_w, fwd_b), (bwd_w, bwd_b)):
         if w.shape != (4 * hid, d + hid) or b.shape != (4 * hid,):
             raise ValueError(f"bilstm_max: x {x.shape}, w {w.shape} and b {b.shape} disagree")
     lens = np.asarray(lengths, dtype=np.intp)
-    if lens.shape != (n,) or lens.min() < 1 or lens.max() > steps:
-        raise ValueError(f"bilstm_max: need {n} lengths in [1, {steps}], got {lengths!r}")
-    order, sizes, rows, times = _pack(lens)
-    xp = x.data[rows, times]
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != tokens:
+        raise ValueError(f"bilstm_max: need positive lengths summing to {tokens}, got {lengths!r}")
+    order, sizes, at = _pack(lens)
+    xp = x.data[at]
     parallel = fwd_w.data.size >= PARALLEL_MIN_WEIGHTS and _cores_for_both_directions()
     (u_fwd, fwd_rule), (u_bwd, bwd_rule) = _both(
         parallel,
         lambda: _pooled_lstm(xp, sizes, fwd_w.data, fwd_b.data, False),
         lambda: _pooled_lstm(xp, sizes, bwd_w.data, bwd_b.data, True),
     )
-    u = np.empty((n, 2 * hid))
+    u = np.empty((len(lens), 2 * hid))
     u[order] = np.concatenate([u_fwd, u_bwd], axis=1)
 
     def rule(g):
@@ -452,8 +453,8 @@ def bilstm_max(
         (dx_fwd, dw_fwd, db_fwd), (dx_bwd, dw_bwd, db_bwd) = _both(
             parallel, lambda: fwd_rule(g[:, :hid]), lambda: bwd_rule(g[:, hid:])
         )
-        dx = np.zeros(x.shape)
-        dx[rows, times] = dx_fwd + dx_bwd
+        dx = np.empty(x.shape)
+        dx[at] = dx_fwd + dx_bwd
         return dx, dw_fwd, db_fwd, dw_bwd, db_bwd
 
     return _out(u, (x, fwd_w, fwd_b, bwd_w, bwd_b), rule)
@@ -577,19 +578,18 @@ def backward(tape: Tape, loss: Tensor) -> "dict[Tensor, np.ndarray | RowGrad]":
 # Relative error is guarded below this scale so that finite-difference noise
 # on true-zero gradients does not read as disagreement.
 GRAD_CHECK_FLOOR = 1e-3
+# The step of grad_check's central differences.
+GRAD_CHECK_EPS = 1e-5
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    eps: float = 1e-5,
-) -> float:
+def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor]) -> float:
     """Compare taped gradients of ``f()`` against central finite differences.
 
     ``f`` must close over ``params`` and be deterministic (a dropout mask
     drawn afresh per call is rejected). Every coordinate of every tensor is
-    checked. Returns the worst relative error, guarded at GRAD_CHECK_FLOOR.
-    A non-finite value raises FloatingPointError from the op that made it.
+    checked, with a step of GRAD_CHECK_EPS. Returns the worst relative error,
+    guarded at GRAD_CHECK_FLOOR. A non-finite value raises FloatingPointError
+    from the op that made it.
     """
     params = list(params)
     with Tape() as tape:
@@ -604,12 +604,12 @@ def grad_check(
         g = np.asarray(grads[p]) if p in grads else np.zeros(p.shape)
         for idx in np.ndindex(*p.shape):
             orig = p.data[idx]
-            p.data[idx] = orig + eps
+            p.data[idx] = orig + GRAD_CHECK_EPS
             lo_hi = float(f().data)
-            p.data[idx] = orig - eps
+            p.data[idx] = orig - GRAD_CHECK_EPS
             lo_lo = float(f().data)
             p.data[idx] = orig
-            fd = (lo_hi - lo_lo) / (2.0 * eps)
+            fd = (lo_hi - lo_lo) / (2.0 * GRAD_CHECK_EPS)
             num = abs(float(g[idx]) - fd)
             den = max(abs(float(g[idx])), abs(fd), GRAD_CHECK_FLOOR)
             worst = max(worst, num / den)

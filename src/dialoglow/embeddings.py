@@ -41,7 +41,7 @@ class EmbeddingTable:
         return self.weights.shape[0]
 
     def lookup(self, ids) -> Tensor:
-        """Rows for a token-id sequence; participates in the tape.
+        """Rows for a 1-d token-id sequence; participates in the tape.
 
         The padding row is excluded from gradient flow, so it stays zero
         no matter how long training runs.
@@ -49,7 +49,7 @@ class EmbeddingTable:
         return gather_rows(self.weights, ids, stop_grad_rows=(PAD_ID,))
 
 
-def _fill(vocab: Vocab, dim: int, seed: int, found: dict[int, np.ndarray]):
+def _fill(vocab: Vocab, dim: int, seed: int, found: dict[int, np.ndarray], trainable: bool):
     """The table: found rows (never a special token's) as given, the pad row
     zero, every other row drawn. One draw covers the drawn rows in vocab
     order, which gives the same numbers as one draw per row."""
@@ -58,7 +58,7 @@ def _fill(vocab: Vocab, dim: int, seed: int, found: dict[int, np.ndarray]):
     weights[drawn] = seeded_rng(seed).uniform(-0.05, 0.05, size=(len(drawn), dim))
     for i, row in found.items():
         weights[i] = row
-    return weights, len(drawn)
+    return EmbeddingTable(Tensor(weights, requires_grad=trainable), dim, len(drawn), trainable)
 
 
 def load_pretrained(
@@ -103,21 +103,9 @@ def load_pretrained(
     except UnicodeDecodeError:
         # Text reads decode in chunks, so the bad byte's line is not known.
         raise EmbeddingError(f"{path}: not UTF-8 text") from None
-    weights, oov = _fill(vocab, dim, seed, found)
-    return EmbeddingTable(
-        weights=Tensor(weights, requires_grad=trainable),
-        dim=dim,
-        oov_count=oov,
-        trainable=trainable,
-    )
+    return _fill(vocab, dim, seed, found, trainable)
 
 
 def random_table(vocab: Vocab, dim: int, seed: int, trainable: bool = True) -> EmbeddingTable:
     """Fully seeded-random table for training without pretrained vectors."""
-    weights, oov = _fill(vocab, dim, seed, {})
-    return EmbeddingTable(
-        weights=Tensor(weights, requires_grad=trainable),
-        dim=dim,
-        oov_count=oov,
-        trainable=trainable,
-    )
+    return _fill(vocab, dim, seed, {}, trainable)

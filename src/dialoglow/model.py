@@ -3,9 +3,10 @@
 Per utterance, a single-layer BiLSTM reads the word vectors in both
 directions; each time step's two hidden states are concatenated and
 max-pooled over time into one sentence vector. Any batch of utterances is
-encoded by one op, ``autodiff.bilstm_max``, which packs their real tokens,
-runs both directions over them and pools them; an utterance's vector does
-not depend on the batch it is encoded in. The "sa-bilstm" variant then lets
+encoded by one embedding lookup of their token ids back to back and one op,
+``autodiff.bilstm_max``, which packs those tokens, runs both directions over
+them and pools them; an utterance's vector does not depend on the batch it is
+encoded in. The "sa-bilstm" variant then lets
 every utterance in a window attend over all the others with scaled
 dot-product weights, one ``autodiff.self_attention`` op, before a shared
 fully-connected stack scores the labels; the "bilstm" variant skips straight
@@ -23,7 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import LABEL_ORDER
 from .embeddings import EmbeddingTable
-from .preprocess import PAD_ID
 
 VARIANTS = ("bilstm", "sa-bilstm")
 
@@ -114,18 +114,13 @@ def encode_sentence(
 ) -> Tensor:
     """Pooled bidirectional sentence vectors of a batch of utterances, (n, sentence_dim).
 
-    One embedding lookup over the utterances padded with PAD_ID to the
-    longest one, then one pooled BiLSTM op, which steps over the real
-    tokens only. Padding never reaches a real step or the pooled maximum.
+    One embedding lookup over the utterances' ids back to back, then one
+    pooled BiLSTM op over those rows.
     """
-    lengths = [len(ids) for ids in token_ids]
-    padded = np.full((len(token_ids), max(lengths)), PAD_ID)
-    for row, ids in zip(padded, token_ids):
-        row[: len(ids)] = ids
-    x = params.embedding.lookup(padded)
+    x = params.embedding.lookup(np.concatenate(token_ids))
     t = params.tensors
     lstm = (t["lstm_fwd.w"], t["lstm_fwd.b"], t["lstm_bwd.w"], t["lstm_bwd.b"])
-    return ad.bilstm_max(x, lengths, *lstm)
+    return ad.bilstm_max(x, [len(ids) for ids in token_ids], *lstm)
 
 
 def self_attend(u_mat: Tensor) -> Tensor:
@@ -171,15 +166,8 @@ def head(
 
 
 def forward_window(
-    token_ids: Sequence[Sequence[int]],
-    params: ModelParams,
-    cfg: ModelConfig,
-    dropout: "Dropout | None" = None,
+    token_ids: Sequence[Sequence[int]], params: ModelParams, cfg: ModelConfig
 ) -> Tensor:
-    """Logits for the utterances of one window, shape (n, len(LABEL_ORDER)).
-
-    ``dropout`` is the training rate and the generator that draws its
-    masks; None, the default, means inference.
-    """
+    """Inference logits for the utterances of one window, shape (n, len(LABEL_ORDER))."""
     check_window(token_ids, cfg)
-    return head(encode_sentence(token_ids, params, cfg), params, cfg, dropout)
+    return head(encode_sentence(token_ids, params, cfg), params, cfg)

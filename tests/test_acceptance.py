@@ -63,8 +63,8 @@ def test_criterion_2_attention_unit_suite():
     params = m.ModelParams.init(cfg, emb.random_table(vocab, 8, seed=1), seed=2)
     ids = [vocab.encode(t.split()) for t in ("aa bb", "cc", "bb cc aa")]
     plain = m.forward_window(ids, params, cfg).data
-    assert np.array_equal(plain, forward_padded(ids, params, 3).data)
-    assert np.array_equal(plain, forward_padded(ids, params, 25).data)
+    assert np.array_equal(plain, forward_padded(ids, params, cfg, 3).data)
+    assert np.array_equal(plain, forward_padded(ids, params, cfg, 25).data)
 
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"attention suite took {elapsed:.2f}s"

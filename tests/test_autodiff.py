@@ -77,11 +77,6 @@ def _case_gather(rng):
     return [a], lambda: ad.gather_rows(a, [1, 3, 1, 4])
 
 
-def _case_gather2d(rng):
-    a = rand(rng, 5, 3)
-    return [a], lambda: ad.gather_rows(a, [[1, 3], [1, 4], [0, 1]])
-
-
 def lstm_states(xs, w, b):
     # Hidden state after each step of one LSTM direction over (steps, d) inputs.
     hid = len(b) // 4
@@ -96,14 +91,14 @@ def lstm_states(xs, w, b):
 
 
 def _case_bilstm_max(rng):
-    # Ragged rows: one fills every step, one has a single real step.
-    x = rand(rng, 3, 4, 2)
+    # Ragged rows laid back to back: the longest in the middle, one of a single step.
+    x = rand(rng, 7, 2)
     fwd_w, fwd_b = rand(rng, 8, 4, lo=-1.0, hi=1.0), rand(rng, 8)
     bwd_w, bwd_b = rand(rng, 8, 4, lo=-1.0, hi=1.0), rand(rng, 8)
     params, lengths = [x, fwd_w, fwd_b, bwd_w, bwd_b], [2, 4, 1]
     # The max has a kink where two steps tie: keep the finite differences clear of it.
-    for row, n in zip(x.data, lengths):
-        for w, b, xs in ((fwd_w, fwd_b, row[:n]), (bwd_w, bwd_b, row[:n][::-1])):
+    for row, n in zip(np.split(x.data, np.cumsum(lengths)[:-1]), lengths):
+        for w, b, xs in ((fwd_w, fwd_b, row), (bwd_w, bwd_b, row[::-1])):
             top = np.sort(lstm_states(xs, w.data, b.data), axis=0)
             assume(n == 1 or np.min(top[-1] - top[-2]) > 1e-3)
     return params, lambda: ad.bilstm_max(x, lengths, *params[1:])
@@ -136,7 +131,6 @@ PRIMITIVE_CASES = [
     _case_concat0,
     _case_concat1,
     _case_gather,
-    _case_gather2d,
     _case_bilstm_max,
     _case_self_attention,
     _case_dropout_train,
@@ -254,7 +248,7 @@ def test_max_over_time_routes_to_first_argmax():
     # step taking the gradient reaches the input half of the weight gradient.
     hid, d = 2, 3
     b = np.repeat([0.4, -1000.0, 0.9, 0.2], hid)
-    x = np.random.default_rng(2).normal(size=(2, 4, d))
+    x = np.random.default_rng(2).normal(size=(2, 4, d))  # two rows of up to four steps
     r = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, 2 * hid))
 
     def pooled(x, lengths):
@@ -268,9 +262,9 @@ def test_max_over_time_routes_to_first_argmax():
         grads = ad.backward(tape, loss)
         return u.data, [grads[p] for p in params]
 
-    u, (dw_fwd, db_fwd, dw_bwd, db_bwd) = pooled(x, [4, 2])
+    u, (dw_fwd, db_fwd, dw_bwd, db_bwd) = pooled(np.concatenate([x[0], x[1, :2]]), [4, 2])
     # The same rows cut to their first step in time: no tie left to break.
-    u_first, (first_dw_fwd, first_db_fwd, first_dw_bwd, first_db_bwd) = pooled(x[:, :1], [1, 1])
+    u_first, (first_dw_fwd, first_db_fwd, first_dw_bwd, first_db_bwd) = pooled(x[:, 0], [1, 1])
     assert np.array_equal(u, u_first)
     assert np.array_equal(db_fwd, first_db_fwd) and np.array_equal(db_bwd, first_db_bwd)
     # The weight-gradient GEMM sums over every step, zeros included, so its
@@ -281,12 +275,14 @@ def test_max_over_time_routes_to_first_argmax():
 
 
 def test_max_over_time_rejects_empty_span():
-    x = ad.Tensor(np.zeros((2, 3, 2)))
+    x = ad.Tensor(np.zeros((3, 2)))
     w, b = ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros(4))
-    with pytest.raises(ValueError):
-        ad.bilstm_max(x, [1, 0], w, b, w, b)
-    with pytest.raises(ValueError):
-        ad.bilstm_max(x, [1, 4], w, b, w, b)
+    assert ad.bilstm_max(x, [1, 2], w, b, w, b).shape == (2, 2)
+    with pytest.raises(ValueError, match="expected a 2-d tensor"):
+        ad.bilstm_max(ad.Tensor(np.zeros((2, 3, 2))), [3, 3], w, b, w, b)
+    for lengths in ([1, 0, 2], [1, 1], [1, 3], []):
+        with pytest.raises(ValueError, match="positive lengths summing to 3"):
+            ad.bilstm_max(x, lengths, w, b, w, b)
 
 
 def test_softmax_known_values():
@@ -448,12 +444,17 @@ def test_gather_rows_keeps_frozen_row_out_of_gradient():
     assert np.array_equal(grad[0], np.zeros(3))
     assert np.array_equal(grad[2], np.ones(3))
     with ad.Tape() as tape:
-        picked = ad.gather_rows(table, [[0, 2], [2, 0]], stop_grad_rows=(0,))
-        loss = project(picked, np.ones((2, 2, 3)))
-    assert picked.shape == (2, 2, 3)
+        picked = ad.gather_rows(table, [0, 2, 2, 0], stop_grad_rows=(0,))
+        loss = project(picked, np.ones((4, 3)))
     grad = np.asarray(ad.backward(tape, loss)[table])
     assert np.array_equal(grad[0], np.zeros(3))
     assert np.array_equal(grad[2], np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("ids", [[], [[0, 2], [2, 0]], 1], ids=["empty", "2-d", "scalar"])
+def test_gather_rows_takes_only_a_non_empty_1d_index_array(ids):
+    with pytest.raises(ValueError, match="non-empty 1-d index array"):
+        ad.gather_rows(ad.Tensor(np.zeros((4, 3))), ids)
 
 
 def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
@@ -485,10 +486,10 @@ def test_finite_check_names_the_op():
         with pytest.raises(FloatingPointError, match="^self_attention produced a non-finite value"):
             ad.self_attention(u)
         # The encoder is one op: a NaN anywhere in a row's input makes its vector NaN.
-        x = np.zeros((2, 3, 2))
-        x[1, 0, 1] = np.nan
+        x = np.zeros((5, 2))
+        x[3, 1] = np.nan  # the first step of the second row
         w, b = ad.Tensor(np.full((4, 3), 0.5)), ad.Tensor(np.zeros(4))
-        assert np.all(np.isfinite(ad.bilstm_max(ad.Tensor(x[:1]), [3], w, b, w, b).data))
+        assert np.all(np.isfinite(ad.bilstm_max(ad.Tensor(x[:3]), [3], w, b, w, b).data))
         with pytest.raises(FloatingPointError, match="^bilstm_max produced a non-finite value"):
             ad.bilstm_max(ad.Tensor(x), [3, 2], w, b, w, b)
 
@@ -497,7 +498,7 @@ def full_size_window(seed):
     # ModelConfig's shapes (d=300, h=256) on one ragged window of 15 utterances.
     rng = np.random.default_rng(seed)
     lengths = np.maximum(1, rng.poisson(11, size=15))
-    x = ad.Tensor(rng.normal(scale=0.5, size=(15, lengths.max(), 300)), requires_grad=True)
+    x = ad.Tensor(rng.normal(scale=0.5, size=(lengths.sum(), 300)), requires_grad=True)
     params = [ad.Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
               for shape in ((1024, 556), (1024,)) * 2]
     return x, lengths.tolist(), params, rng.normal(size=(15, 512))
@@ -508,42 +509,6 @@ def bilstm_max_and_grads(x, lengths, params, r):
         loss = project(ad.bilstm_max(x, lengths, *params), r)
     grads = ad.backward(tape, loss)
     return tape._records[0][0].data, [grads[t] for t in (x, *params)]
-
-
-def test_bilstm_max_gradients_ignore_nonzero_trailing_padding():
-    # Padding holds random non-zero inputs here, not the all-zero PAD row, and
-    # three more steps of it are appended: nothing of it may reach u, db or dx.
-    # The shapes keep every GEMM on one BLAS thread: with more, OpenBLAS may
-    # round a row of a product differently when the product gains rows.
-    rng = np.random.default_rng(8)
-    lengths = [6, 2, 1, 5]
-    x, extra = rand(rng, 4, 6, 8), rng.normal(size=(4, 3, 8))
-    padded = ad.Tensor(np.concatenate([x.data, extra], axis=1), requires_grad=True)
-    params = [rand(rng, *shape, lo=-0.5, hi=0.5) for shape in ((64, 24), (64,)) * 2]
-    r = rng.normal(size=(4, 32))
-    u, (dx, dw_fwd, db_fwd, dw_bwd, db_bwd) = bilstm_max_and_grads(x, lengths, params, r)
-    u_pad, (dx_pad, *grads_pad) = bilstm_max_and_grads(padded, lengths, params, r)
-    assert np.array_equal(u_pad, u)
-    assert np.array_equal(grads_pad[1], db_fwd) and np.array_equal(grads_pad[3], db_bwd)
-    assert np.array_equal(dx_pad[:, :6], dx)
-    real = np.arange(9) < np.asarray(lengths)[:, None]
-    assert np.all(dx_pad[~real] == 0.0) and np.all(dx_pad[real] != 0.0)
-    # The weight-gradient GEMM sums over every step, so its rounding may move.
-    for got, want in ((grads_pad[0], dw_fwd), (grads_pad[2], dw_bwd)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_bilstm_max_never_reads_the_values_at_padding_steps():
-    # Full size, so both directions run on two threads where the CPUs allow.
-    # Same shapes, padding all zeros or random: every output is bit-identical.
-    x, lengths, params, r = full_size_window(seed=8)
-    real = np.arange(x.shape[1]) < np.asarray(lengths)[:, None]
-    zeroed = ad.Tensor(np.where(real[:, :, None], x.data, 0.0), requires_grad=True)
-    u, grads = bilstm_max_and_grads(x, lengths, params, r)
-    u_zeroed, grads_zeroed = bilstm_max_and_grads(zeroed, lengths, params, r)
-    assert np.array_equal(u, u_zeroed)
-    assert all(np.array_equal(a, b) for a, b in zip(grads, grads_zeroed))
-    assert np.all(grads[0][~real] == 0.0)
 
 
 def directions_on_threads(monkeypatch):
@@ -578,14 +543,14 @@ def test_bilstm_max_threaded_equals_two_serial_directions(monkeypatch):
     set_cpus_and_blas_threads(monkeypatch, {0, 1}, blas_threads=1)
     x, lengths, params, r = full_size_window(seed=5)
     # Oracle: the two directions called one after the other on this thread.
-    order, sizes, rows, times = ad._pack(np.asarray(lengths))
-    xp, g = x.data[rows, times], r[order]
+    order, sizes, at = ad._pack(np.asarray(lengths))
+    xp, g = x.data[at], r[order]
     u_fwd, fwd_rule = ad._pooled_lstm(xp, sizes, params[0].data, params[1].data, False)
     u_bwd, bwd_rule = ad._pooled_lstm(xp, sizes, params[2].data, params[3].data, True)
     dx_fwd, dw_fwd, db_fwd = fwd_rule(g[:, :256])
     dx_bwd, dw_bwd, db_bwd = bwd_rule(g[:, 256:])
-    dx = np.zeros(x.shape)
-    dx[rows, times] = dx_fwd + dx_bwd
+    dx = np.empty(x.shape)
+    dx[at] = dx_fwd + dx_bwd
     want = [dx, dw_fwd, db_fwd, dw_bwd, db_bwd]
 
     runs = directions_on_threads(monkeypatch)
@@ -615,7 +580,7 @@ def test_bilstm_max_stays_serial_without_spare_cores_or_big_weights(
         x, lengths, params, r = full_size_window(seed=6)
     else:
         rng = np.random.default_rng(6)
-        x, lengths = rand(rng, 4, 5, 8), [5, 2, 1, 3]
+        x, lengths = rand(rng, 11, 8), [5, 2, 1, 3]
         params, r = [rand(rng, 64, 24), rand(rng, 64)] * 2, rng.normal(size=(4, 32))
     assert (params[0].data.size < ad.PARALLEL_MIN_WEIGHTS) != full_size
     bilstm_max_and_grads(x, lengths, params, r)
@@ -680,7 +645,5 @@ def test_packed_bilstm_max_matches_the_padded_encoder_under_one_blas_thread():
     run_with_blas_threads(1, "oracle")
 
 
-def test_bilstm_max_full_size_gradients_ignore_nonzero_trailing_padding():
-    # Two BLAS threads: at the padded encoder, OpenBLAS's threaded GEMM rounded
-    # some dx entries differently once padding steps added rows to the product.
-    run_with_blas_threads(2, "padding")
+def test_packed_bilstm_max_matches_the_padded_encoder_under_two_blas_threads():
+    run_with_blas_threads(2, "two_threads")

@@ -11,6 +11,7 @@ from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow.corpus import LABEL_ORDER
 from helpers import project
+import padded_lstm
 
 
 def tiny_cfg(**over):
@@ -105,7 +106,7 @@ def test_lstm_with_zero_weights_runs_each_row_from_its_own_start():
             c = f * c + i * g
             want.append(o * math.tanh(c))
         states.append(want)
-    x = ad.Tensor(np.random.default_rng(0).normal(size=(2, 3, d)))
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(4, d)))
     u = ad.bilstm_max(x, [3, 1], *directions).data
     rising, falling = states
     assert np.allclose(u[0], [rising[2]] * l + [falling[0]] * l, atol=1e-15)
@@ -119,7 +120,7 @@ def test_lstm_three_chained_steps_gradient_matches_fd():
     for _ in range(2):
         directions += [ad.Tensor(rng.uniform(-0.4, 0.4, (4 * l, d + l)), requires_grad=True),
                        ad.Tensor(rng.uniform(-0.2, 0.2, 4 * l), requires_grad=True)]
-    x = ad.Tensor(rng.uniform(-1, 1, (1, 3, d)), requires_grad=True)
+    x = ad.Tensor(rng.uniform(-1, 1, (3, d)), requires_grad=True)
     r = rng.uniform(-1, 1, (1, 2 * l))
 
     def f():
@@ -217,18 +218,19 @@ def window_ids(vocab, texts):
     return [vocab.encode(pp.prepare(t)) for t in texts]
 
 
-def forward_padded(ids, params, steps, dropout=None):
-    """forward_window for the sa-bilstm variant, each utterance padded with PAD_ID to steps."""
-    lengths = [len(row) for row in ids]
-    padded = np.full((len(ids), steps), pp.PAD_ID)
-    for row, real in zip(padded, ids):
-        row[: len(real)] = real
-    x = params.embedding.lookup(padded)
-    lstm = [params.tensors[f"lstm_{d}.{p}"] for d in ("fwd", "bwd") for p in "wb"]
-    u = m.self_attend(ad.bilstm_max(x, lengths, *lstm))
-    if dropout is not None:
-        u = ad.dropout(u, *dropout)
-    return m.classify(u, params, dropout)
+def forward_padded(ids, params, cfg, steps, dropout=None):
+    """``model.head`` over the frozen padded encoder (``padded_lstm``).
+
+    Each utterance's word vectors are padded to ``steps`` with random
+    non-zero values.
+    """
+    x = np.random.default_rng(steps).normal(size=(len(ids), steps, cfg.embed_dim))
+    for row, real in zip(x, ids):
+        row[: len(real)] = params.embedding.weights.data[real]
+    lstm = [params.tensors[f"lstm_{d}.{p}"].data for d in ("fwd", "bwd") for p in "wb"]
+    no_grad = np.zeros((len(ids), cfg.sentence_dim))
+    u, _ = padded_lstm.bilstm_max(x, [len(row) for row in ids], lstm, no_grad)
+    return m.head(ad.Tensor(u), params, cfg, dropout)
 
 
 def test_forward_window_padding_invariance_bit_exact():
@@ -236,11 +238,12 @@ def test_forward_window_padding_invariance_bit_exact():
     ids = window_ids(vocab, ["aa bb", "cc", "dd ee aa"])
     plain = m.forward_window(ids, params, cfg)
     assert plain.shape == (3, len(LABEL_ORDER))
-    assert np.array_equal(plain.data, forward_padded(ids, params, 3).data)
-    assert np.array_equal(plain.data, forward_padded(ids, params, 25).data)
+    assert np.array_equal(plain.data, forward_padded(ids, params, cfg, 3).data)
+    assert np.array_equal(plain.data, forward_padded(ids, params, cfg, 25).data)
     # Same seeds make even training-mode dropout line up.
-    t1 = m.forward_window(ids, params, cfg, (0.3, ad.seeded_rng(4)))
-    t2 = forward_padded(ids, params, 25, (0.3, ad.seeded_rng(4)))
+    dropout = lambda: (0.3, ad.seeded_rng(4))
+    t1 = m.head(m.encode_sentence(ids, params, cfg), params, cfg, dropout())
+    t2 = forward_padded(ids, params, cfg, 25, dropout())
     assert np.array_equal(t1.data, t2.data)
     assert not np.array_equal(t1.data, plain.data)
 
