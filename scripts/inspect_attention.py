@@ -20,8 +20,8 @@ from dialoglow import synthetic
 from dialoglow import train as tr
 
 
-def attention_matrix(texts, vocab, params, cfg):
-    u = m.encode_sentence([vocab.encode(pp.prepare(t)) for t in texts], params, cfg)
+def attention_matrix(texts, vocab, params):
+    u = m.encode_sentence([vocab.encode(pp.prepare(t)) for t in texts], params)
     return ad.attention_weights(ad.attention_scores(u.data))
 
 
@@ -57,7 +57,7 @@ def main(argv=None):
         "um gloomy now honestly",
         "livid right now",
     ]
-    weights = attention_matrix(dialogue, vocab, params, cfg)
+    weights = attention_matrix(dialogue, vocab, params)
 
     width = max(len(t) for t in dialogue)
     header = " " * (width + 2) + "  ".join(f"{f'u{j}':>4}" for j in range(len(dialogue)))

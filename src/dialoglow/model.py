@@ -109,9 +109,7 @@ class ModelParams:
         return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
 
 
-def encode_sentence(
-    token_ids: Sequence[Sequence[int]], params: ModelParams, cfg: ModelConfig
-) -> Tensor:
+def encode_sentence(token_ids: Sequence[Sequence[int]], params: ModelParams) -> Tensor:
     """Pooled bidirectional sentence vectors of a batch of utterances, (n, sentence_dim).
 
     One embedding lookup over the utterances' ids back to back, then one
@@ -170,4 +168,4 @@ def forward_window(
 ) -> Tensor:
     """Inference logits for the utterances of one window, shape (n, len(LABEL_ORDER))."""
     check_window(token_ids, cfg)
-    return head(encode_sentence(token_ids, params, cfg), params, cfg)
+    return head(encode_sentence(token_ids, params), params, cfg)

@@ -10,7 +10,6 @@ produce byte-identical checkpoints and histories.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -486,7 +485,7 @@ def infer(windows, params, cfg) -> np.ndarray:
     utts = [ids for ids_list in windows for ids in ids_list]
     u = np.empty((len(utts), cfg.sentence_dim))
     for batch in _token_batches([len(ids) for ids in utts], INFER_BATCH_TOKENS):
-        u[batch] = m.encode_sentence([utts[i] for i in batch], params, cfg).data
+        u[batch] = m.encode_sentence([utts[i] for i in batch], params).data
     bounds = np.cumsum([0] + [len(ids_list) for ids_list in windows])
     parts = [m.head(ad.Tensor(u[lo:hi]), params, cfg).data for lo, hi in zip(bounds, bounds[1:])]
     return np.concatenate(parts) if parts else np.zeros((0, len(LABEL_ORDER)))
@@ -521,7 +520,7 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
         return None
     with ad.Tape() as tape:
         parts = [
-            m.head(m.encode_sentence(ids, params, cfg), params, cfg, dropout) for ids, _ in windows
+            m.head(m.encode_sentence(ids, params), params, cfg, dropout) for ids, _ in windows
         ]
         logits = parts[0] if len(parts) == 1 else ad.concat(parts)
         loss = weighted_cross_entropy(logits, golds, cw)
@@ -567,13 +566,14 @@ def train(
     The training and scoring sets come from split_for_training; with
     val_fraction 0 the (unshuffled) training set doubles as the scoring
     set, which is exactly what an overfitting check wants.
+
+    train() trains the table it is given; pass a copy to keep yours. Adam
+    updates a trainable table's array in place, and ``last`` holds it.
     """
     train_ds, val_ds = split_for_training(ds, tcfg, val_ds)
-    # adam_step updates the weights in place: train a copy, not the caller's table.
-    table = copy.copy(table)
-    table.weights = ad.Tensor(table.weights.data.copy(), requires_grad=table.weights.requires_grad)
     params = m.ModelParams.init(mcfg, table, seed=tcfg.seed)
     trainable = params.trainable_tensors()
+    arrays = {k: t.data for k, t in params.named_tensors().items()}  # Adam updates them in place
     state = AdamState(trainable)
     cw = np.asarray(tcfg.class_weights, dtype=np.float64)
     vocab_hash = vocab_content_sha256(vocab)
@@ -591,8 +591,8 @@ def train(
     best_uwa, best_epoch, best_tensors = None, None, None
     for epoch in range(epochs):
         if best_epoch == epoch - 1:
-            # The epoch just ended is the best so far: copy it before this one moves it.
-            best_tensors = {k: t.data.copy() for k, t in params.named_tensors().items()}
+            # The epoch just ended is the best so far: copy what this one can move.
+            best_tensors = {k: a.copy() if k in trainable else a for k, a in arrays.items()}
         lr = learning_rate(tcfg.lr0, tcfg.decay, epoch)
         if mcfg.variant == "sa-bilstm":
             # One dialogue per step: all its windows share a single loss.
@@ -641,7 +641,7 @@ def train(
             },
         )
 
-    last = checkpoint({k: t.data for k, t in params.named_tensors().items()}, epochs - 1, history)
+    last = checkpoint(arrays, epochs - 1, history)
     if best_epoch is None or best_epoch == epochs - 1:
         best_ckpt = last
     else:

@@ -136,13 +136,13 @@ def test_encode_sentence_ignores_trailing_padding_ids():
     ids = vocab.encode(["aa", "bb", "cc"])
     neighbours = [(["dd"], ["ee"]), (["dd"] * 9, ["ee", "aa"]), (["dd", "ee"], ["ee"] * 3)]
     rows = [
-        m.encode_sentence([vocab.encode(a), ids, vocab.encode(b)], params, cfg).data[1]
+        m.encode_sentence([vocab.encode(a), ids, vocab.encode(b)], params).data[1]
         for a, b in neighbours
     ]
     assert rows[0].shape == (cfg.sentence_dim,)
     assert all(np.array_equal(r, rows[0]) for r in rows)
     # A one-row batch steps a discarded second row, off BLAS's matrix-vector path.
-    alone = m.encode_sentence([ids], params, cfg).data[0]
+    alone = m.encode_sentence([ids], params).data[0]
     assert np.array_equal(alone, rows[0])
 
 
@@ -242,7 +242,7 @@ def test_forward_window_padding_invariance_bit_exact():
     assert np.array_equal(plain.data, forward_padded(ids, params, cfg, 25).data)
     # Same seeds make even training-mode dropout line up.
     dropout = lambda: (0.3, ad.seeded_rng(4))
-    t1 = m.head(m.encode_sentence(ids, params, cfg), params, cfg, dropout())
+    t1 = m.head(m.encode_sentence(ids, params), params, cfg, dropout())
     t2 = forward_padded(ids, params, cfg, 25, dropout())
     assert np.array_equal(t1.data, t2.data)
     assert not np.array_equal(t1.data, plain.data)

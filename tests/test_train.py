@@ -933,19 +933,48 @@ def test_train_is_deterministic_per_seed(tmp_path):
     assert other.history != outs[0][0]
 
 
-def test_train_leaves_the_callers_table_alone():
-    ds, vocab, cfg, table = tiny_world(n_dialogues=4)
-    before = table.weights.data.copy()
+def test_train_trains_the_table_it_is_given():
     tcfg = tr.TrainConfig(epochs=2, seed=0, val_fraction=0.25)
-    first, second = (tr.train(ds, vocab, table, cfg, tcfg) for _ in range(2))
+    runs = []
+    for _ in range(2):  # each run on its own fresh, same-seed table
+        ds, vocab, cfg, table = tiny_world(n_dialogues=4)
+        before = table.weights.data.copy()
+        runs.append(tr.train(ds, vocab, table, cfg, tcfg))
+        assert np.shares_memory(runs[-1].last.tensors["embedding"], table.weights.data)
+        assert not np.array_equal(table.weights.data, before)
+    first, second = runs
     assert first.history == second.history
     for which in ("last", "best"):
         a, b = getattr(first, which).tensors, getattr(second, which).tensors
         assert a.keys() == b.keys()
         for name in a:
             assert a[name].tobytes() == b[name].tobytes(), (which, name)
-    assert np.array_equal(table.weights.data, before)
-    assert not np.shares_memory(first.last.tensors["embedding"], table.weights.data)
+
+    frozen = emb.random_table(vocab, cfg.embed_dim, seed=50, trainable=False)
+    before = frozen.weights.data.copy()
+    tr.train(ds, vocab, frozen, cfg, tcfg)
+    assert frozen.weights.data.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("trainable, epochs", [(True, 1), (False, 3)])
+def test_train_allocates_less_than_one_table(trainable, epochs):
+    # A toy model whose vocab holds 40k tokens the corpus never uses: a 4.9 MB
+    # table. A copy of it, for training or for the best epoch's snapshot,
+    # would take the peak past the table's own size.
+    ds, vocab, cfg, _ = tiny_world(embed_dim=16)
+    vocab = pp.Vocab(vocab.tokens + [f"unseen{i}" for i in range(40_000)])
+    table = emb.random_table(vocab, cfg.embed_dim, seed=50, trainable=trainable)
+    tcfg = tr.TrainConfig(epochs=epochs, seed=0)
+    tracemalloc.start()
+    try:
+        result = tr.train(ds, vocab, table, cfg, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if not trainable:  # the best epoch is snapshotted before the last one runs
+        assert result.best.metadata["epoch"] < epochs - 1
+    nbytes = table.weights.data.nbytes
+    assert peak < nbytes, f"train() peaked at {peak / 2**20:.2f} MB, the table is {nbytes / 2**20:.2f} MB"
 
 
 def test_train_best_checkpoint_tracks_peak_val_uwa():
@@ -965,7 +994,8 @@ def test_train_best_checkpoint_equals_a_run_stopped_at_the_best_epoch():
     result = tr.train(ds, vocab, table, cfg, tcfg)
     best = result.best.metadata["epoch"]
     assert 0 < best < 4  # later epochs train on after the best one
-    stopped = tr.train(ds, vocab, table, cfg, dataclasses.replace(tcfg, epochs=best + 1))
+    _, _, _, fresh = tiny_world(n_dialogues=12)  # train() has trained the first table
+    stopped = tr.train(ds, vocab, fresh, cfg, dataclasses.replace(tcfg, epochs=best + 1))
     assert result.best.tensors.keys() == stopped.last.tensors.keys()
     for name, arr in result.best.tensors.items():
         assert arr.tobytes() == stopped.last.tensors[name].tobytes(), name
