@@ -46,9 +46,9 @@ def main(argv=None):
                             fc_dims=(16,), variant="sa-bilstm")
         table = emb.random_table(vocab, cfg.embed_dim, seed=args.seed + 1)
         tcfg = tr.TrainConfig(epochs=40, lr0=0.02, decay=0.995, dropout=0.0,
-                              seed=args.seed, val_fraction=0.0)
+                              seed=args.seed)
         print("fitting a small model on the synthetic corpus...")
-        result = tr.train(ds, vocab, table, cfg, tcfg)
+        result = tr.train(ds, vocab, table, cfg, tcfg, val_ds=ds)
         cfg, params = tr.params_from_checkpoint(result.last)
 
     dialogue = [

@@ -40,7 +40,7 @@ def main(argv=None):
         )
         tcfg = tr.TrainConfig(
             epochs=args.epochs, lr0=args.lr, decay=0.995, dropout=0.0,
-            seed=args.seed, val_fraction=0.0,
+            seed=args.seed,
         )
     except ValueError as exc:
         ap.error(str(exc))
@@ -58,7 +58,7 @@ def main(argv=None):
                 f"WA {100 * row['val_wa']:.1f}  UWA {100 * row['val_uwa']:.1f}"
             )
 
-    result = tr.train(ds, vocab, table, cfg, tcfg, on_epoch=show)
+    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds=ds, on_epoch=show)
     _, params = tr.params_from_checkpoint(result.last)
     report = tr.evaluate_dataset(ds, vocab, params, cfg)
     print(f"\nfinal training-set scores after {time.monotonic() - started:.1f}s:")

@@ -28,7 +28,8 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import (
-    CorpusError, Dataset, LABEL_ORDER, Split, corpus_stats, load_dataset, split_windows,
+    CorpusError, Dataset, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation,
+    split_windows,
 )
 from .files import read_text, write_atomic
 
@@ -256,20 +257,23 @@ def cmd_train(args) -> int:
     mcfg, tcfg, weight_mode, paths_cfg = _build_configs(args)
     data_dir = _data_dir(paths_cfg)
     ds = load_dataset(_resolve_input(args.data, data_dir), Split.TRAIN)
-
-    val_ds = None
-    if args.val is not None:
-        val_ds = load_dataset(_resolve_input(args.val, data_dir), Split.VALIDATION)
-    # Carve validation out first so the vocab never sees held-out text.
-    try:
-        train_ds, val_ds = tr.split_for_training(ds, tcfg, val_ds)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    val_ds = None if args.val is None else load_dataset(_resolve_input(args.val, data_dir), Split.VALIDATION)
+    if not ds.dialogues:
+        raise CliError("training set holds no dialogues")
+    if val_ds is None:
+        # Carve validation out first so the vocab never sees held-out text.
+        ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
+        if not ds.dialogues:
+            raise CliError("validation split consumed every training dialogue")
+        if not val_ds.dialogues:  # nothing held out: score the training part
+            val_ds = ds
+    elif not val_ds.dialogues:
+        raise CliError("validation set holds no dialogues")
 
     if weight_mode == "inverse-frequency":
-        tcfg = dataclasses.replace(tcfg, class_weights=tr.inverse_frequency_weights(train_ds))
+        tcfg = dataclasses.replace(tcfg, class_weights=tr.inverse_frequency_weights(ds))
 
-    vocab = tr.vocab_from_dataset(train_ds, min_count=args.min_count)
+    vocab = tr.vocab_from_dataset(ds, min_count=args.min_count)
     if args.embeddings is not None:
         table = emb.load_pretrained(
             _resolve_input(args.embeddings, data_dir),
@@ -286,7 +290,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails here, not after the run
     on_epoch = None if args.quiet else _epoch_printer
     try:
-        result = tr.train(train_ds, vocab, table, mcfg, tcfg, val_ds=val_ds, on_epoch=on_epoch)
+        result = tr.train(ds, vocab, table, mcfg, tcfg, val_ds, on_epoch=on_epoch)
     except (ValueError, FloatingPointError) as exc:
         # a non-finite op output, loss or gradient is a runtime failure
         raise CliError(f"training aborted: {exc}", code=EXIT_RUNTIME)
@@ -393,6 +397,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not 0 <= args.seed < 2**64:  # the range of the Philox key
         raise CliError(f"--seed must be in [0, 2**64), got {args.seed}")
+    if not 0.0 < args.tolerance < float("inf"):  # a range check, as NaN fails every comparison
+        raise CliError(f"--tolerance must be positive and finite, got {args.tolerance}")
     started = time.monotonic()
     cfg = m.ModelConfig(
         embed_dim=8, hidden_size=4, window_size=3, fc_dims=(8,), variant="sa-bilstm"

@@ -25,7 +25,7 @@ from . import __version__
 from . import autodiff as ad
 from . import metrics as mx
 from . import model as m
-from .corpus import CONSIDERED_LABELS, LABEL_INDEX, LABEL_ORDER, Dataset, split_train_validation, split_windows
+from .corpus import CONSIDERED_LABELS, LABEL_INDEX, LABEL_ORDER, Dataset, split_windows
 from .embeddings import EmbeddingTable
 from .files import write_atomic
 from .preprocess import SPECIALS, Vocab, build_vocab, prepare_distinct, vocab_content_sha256
@@ -53,7 +53,7 @@ class TrainConfig:
     dropout: float = 0.3
     class_weights: tuple = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     seed: int = 0
-    val_fraction: float = 0.1
+    val_fraction: float = 0.1  # held out by `dialoglow train` before its vocab; train() never reads it
     grad_clip: "float | None" = None
 
     def __post_init__(self):
@@ -137,8 +137,8 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place on each parameter's C-contiguous array.
 
-    Parameters missing from grads are treated as zero-gradient (their
-    moments still decay). The epsilon sits outside the square root. A
+    A parameter missing from grads takes the row path with no rows: its
+    moments still decay. The epsilon sits outside the square root. A
     gradient is an array or an ``ad.RowGrad``. Only the rows that have ever
     had a gradient are computed, slice by slice, with the textbook float
     ops in the textbook order, so the result is bit-identical to the dense
@@ -149,19 +149,21 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for name, p in named_params.items():
-        g = grads.get(name)
-        sparse = isinstance(g, ad.RowGrad)
-        if g is not None and not np.all(np.isfinite(g.rows if sparse else g)):
-            raise ValueError(f"non-finite gradient for {name!r}")
         p2 = _as_rows(p.data)
         width = p2.shape[1]
+        g = grads.get(name)
+        if g is None:
+            g = ad.RowGrad(p.shape, np.zeros(0, dtype=np.intp), np.zeros((0, width)))
+        sparse = isinstance(g, ad.RowGrad)
+        if not np.all(np.isfinite(g.rows if sparse else g)):
+            raise ValueError(f"non-finite gradient for {name!r}")
         moved, slot = state.moved[name], state.slot[name]
         if sparse:
             new = g.ids[slot[g.ids] < 0]
-        elif g is not None:
+        else:
             new = np.flatnonzero(slot < 0)
             g2 = _as_rows(np.ascontiguousarray(g))
-        if g is not None and len(new):
+        if len(new):
             # Rows moving for the first time join at the end, with zero moments.
             # The moments' buffers grow to twice their rows when full, so most
             # steps add rows without copying the rows that moved before.
@@ -197,11 +199,10 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
             if sparse:
                 i, j = np.searchsorted(at, (lo, lo + k))
                 here, gs = at[i:j] - lo, g.rows[order[i:j]]
-            elif g is not None:
+            else:
                 here, gs = slice(None), g2[rows]
-            if g is not None:
-                ms[here] += gs * (1.0 - ADAM_BETA1)
-                vs[here] += (gs * gs) * (1.0 - ADAM_BETA2)
+            ms[here] += gs * (1.0 - ADAM_BETA1)
+            vs[here] += (gs * gs) * (1.0 - ADAM_BETA2)
             ps -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + ADAM_EPS)
             if rows is ids:
                 p2[ids] = ps
@@ -532,45 +533,24 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
     return float(loss.data)
 
 
-def split_for_training(
-    ds: Dataset, tcfg: TrainConfig, val_ds: "Dataset | None" = None
-) -> "tuple[Dataset, Dataset]":
-    """(training set, scoring set): ds and val_ds when val_ds is given, else ds
-    split by a seeded tcfg.val_fraction, scoring on the training part when
-    nothing is held out. ValueError if no training dialogue is left.
-    """
-    if not ds.dialogues:
-        raise ValueError("training set holds no dialogues")
-    if val_ds is None:
-        train_ds, val_ds = split_train_validation(ds, tcfg.val_fraction, tcfg.seed)
-        if not val_ds.dialogues:
-            val_ds = train_ds
-    else:
-        train_ds = ds
-    if not train_ds.dialogues:
-        raise ValueError("validation split consumed every training dialogue")
-    return train_ds, val_ds
-
-
 def train(
     ds: Dataset,
     vocab: Vocab,
     table: EmbeddingTable,
     mcfg: m.ModelConfig,
     tcfg: TrainConfig,
-    val_ds: "Dataset | None" = None,
+    val_ds: Dataset,
     on_epoch=None,
 ) -> TrainResult:
-    """Train from scratch on ds; deterministic given tcfg.seed.
+    """Train from scratch on ds, scoring every epoch on val_ds; deterministic given tcfg.seed.
 
-    The training and scoring sets come from split_for_training; with
-    val_fraction 0 the (unshuffled) training set doubles as the scoring
-    set, which is exactly what an overfitting check wants.
+    train() makes no split: the caller holds out what it scores on, before
+    it builds the vocab. Pass ds itself as val_ds to score on the training
+    set, as an overfitting check does; its windows are then encoded once.
 
     train() trains the table it is given; pass a copy to keep yours. Adam
     updates a trainable table's array in place, and ``last`` holds it.
     """
-    train_ds, val_ds = split_for_training(ds, tcfg, val_ds)
     params = m.ModelParams.init(mcfg, table, seed=tcfg.seed)
     trainable = params.trainable_tensors()
     arrays = {k: t.data for k, t in params.named_tensors().items()}  # Adam updates them in place
@@ -578,8 +558,8 @@ def train(
     cw = np.asarray(tcfg.class_weights, dtype=np.float64)
     vocab_hash = vocab_content_sha256(vocab)
 
-    by_dialogue = encode_dataset(train_ds, vocab, mcfg.window_size)
-    scoring = by_dialogue if val_ds is train_ds else encode_dataset(val_ds, vocab, mcfg.window_size)
+    by_dialogue = encode_dataset(ds, vocab, mcfg.window_size)
+    scoring = by_dialogue if val_ds is ds else encode_dataset(val_ds, vocab, mcfg.window_size)
     val_windows, val_golds = _scoring_windows(scoring)
     flat = [pair for dlg in by_dialogue for ids_list, gs in dlg for pair in zip(ids_list, gs)]
 

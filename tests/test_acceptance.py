@@ -118,9 +118,8 @@ def test_criterion_5_synthetic_overfit():
     cfg = m.ModelConfig(embed_dim=16, hidden_size=8, window_size=8, fc_dims=(16,),
                         variant="sa-bilstm")
     table = emb.random_table(vocab, cfg.embed_dim, seed=1)
-    tcfg = tr.TrainConfig(epochs=60, lr0=0.02, decay=0.995, dropout=0.0,
-                          seed=0, val_fraction=0.0)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    tcfg = tr.TrainConfig(epochs=60, lr0=0.02, decay=0.995, dropout=0.0, seed=0)
+    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds=ds)
     elapsed = time.monotonic() - started
 
     losses = [row["train_loss"] for row in result.history]

@@ -319,6 +319,28 @@ def test_train_empty_training_file_with_explicit_val_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_empty_val_file_exits_2(tmp_path, capsys):
+    data = write_corpus(tmp_path, n=2)
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    out = tmp_path / "x"
+    rc = cli.main(["train", str(data), "--val", str(empty), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: validation set holds no dialogues\n"
+    assert not out.exists()
+
+
+def test_train_val_fraction_zero_scores_the_training_part(tmp_path):
+    rc, out = run_train(tmp_path, extra=["--val-fraction", "0", "--epochs", "1"])
+    assert rc == 0
+    row = json.loads((out / "history.json").read_text())["history"][0]
+    scores = tmp_path / "scores.json"
+    argv = ["eval", str(out / "checkpoint.bin"), str(tmp_path / "train.json"), "--out", str(scores)]
+    assert cli.main(argv) == 0
+    report = json.loads(scores.read_text())["report"]
+    assert (row["val_wa"], row["val_uwa"]) == (report["wa"], report["uwa"])
+
+
 def test_train_inverse_frequency_weights_flag(tmp_path):
     rc, out = run_train(tmp_path, extra=["--class-weights", "inverse-frequency"])
     assert rc == 0
@@ -746,6 +768,13 @@ def test_gradcheck_passes_default_tolerance(capsys):
 def test_gradcheck_fails_on_unreachable_tolerance(capsys):
     assert cli.main(["gradcheck", "--tolerance", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tolerance):
+    assert cli.main(["gradcheck", "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --tolerance must be positive and finite, got {float(tolerance)}\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -26,7 +26,7 @@ from dialoglow import model as m
 from dialoglow import preprocess as pp
 from dialoglow import synthetic
 from dialoglow import train as tr
-from dialoglow.corpus import LABEL_INDEX, Dataset, Dialogue, EmotionLabel, split_windows
+from dialoglow.corpus import LABEL_INDEX, Dataset, Dialogue, EmotionLabel, split_train_validation, split_windows
 from helpers import project, serialize_dataset
 import whole_file_checkpoint
 
@@ -49,6 +49,16 @@ def tiny_world(seed=0, n_dialogues=6, **cfg_over):
     cfg = tiny_model_cfg(**cfg_over)
     table = emb.random_table(vocab, cfg.embed_dim, seed=seed + 50)
     return ds, vocab, cfg, table
+
+
+def held_out_world(val_fraction, split_seed, n_dialogues=6, **cfg_over):
+    """tiny_world's dialogues split as `dialoglow train` splits them, with the
+    vocab and table built on the training part: (train_ds, val_ds, vocab, cfg, table)."""
+    ds = synthetic.build(n_dialogues=n_dialogues, seed=0)
+    train_ds, val_ds = split_train_validation(ds, val_fraction, split_seed)
+    vocab = tr.vocab_from_dataset(train_ds)
+    cfg = tiny_model_cfg(**cfg_over)
+    return train_ds, val_ds, vocab, cfg, emb.random_table(vocab, cfg.embed_dim, seed=50)
 
 
 # --- dataset helpers --------------------------------------------------------
@@ -83,18 +93,18 @@ def test_dataset_helpers_prepare_each_distinct_text_once(monkeypatch):
 
 @pytest.mark.parametrize("val_fraction", [0.0, 0.2])
 def test_train_prepares_each_distinct_text_of_each_set_once(monkeypatch, val_fraction):
-    ds = synthetic.build(n_dialogues=30, seed=3)
+    ds, held = split_train_validation(synthetic.build(n_dialogues=30, seed=3), val_fraction, seed=0)
+    val_ds = held if held.dialogues else ds  # nothing held out: score on ds itself
+    assert (val_ds is ds) == (val_fraction == 0.0)
     vocab = tr.vocab_from_dataset(ds)
     cfg = tiny_model_cfg()
     table = emb.random_table(vocab, cfg.embed_dim, seed=0)
-    tcfg = tr.TrainConfig(epochs=1, val_fraction=val_fraction)
-    train_ds, val_ds = tr.split_for_training(ds, tcfg)
     prepare, calls = pp.prepare, []
     monkeypatch.setattr(pp, "prepare", lambda text: calls.append(text) or prepare(text))
-    tr.train(ds, vocab, table, cfg, tcfg)
-    # The scoring set is the training set when nothing is held out: encoded once.
+    tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=1), val_ds)
+    # Scoring on ds reuses its windows; a separate set's texts are prepared once more.
     texts = lambda d: list(dict.fromkeys(u.raw_text for dlg in d.dialogues for u in dlg.utterances))
-    assert calls == texts(train_ds) + (texts(val_ds) if val_ds is not train_ds else [])
+    assert calls == texts(ds) + (texts(val_ds) if val_ds is not ds else [])
 
 
 # --- config -----------------------------------------------------------------
@@ -903,9 +913,9 @@ def test_forked_child_loads_a_checkpoint(tmp_path):
 
 
 def test_train_history_shape_and_schedule():
-    ds, vocab, cfg, table = tiny_world()
-    tcfg = tr.TrainConfig(epochs=3, seed=1, dropout=0.0, val_fraction=0.25, lr0=0.01)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=1)
+    tcfg = tr.TrainConfig(epochs=3, seed=1, dropout=0.0, lr0=0.01)
+    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds)
     assert len(result.history) == 3
     for e, row in enumerate(result.history):
         assert set(row) == {"epoch", "lr", "train_loss", "val_wa", "val_uwa"}
@@ -919,27 +929,27 @@ def test_train_history_shape_and_schedule():
 def test_train_is_deterministic_per_seed(tmp_path):
     outs = []
     for run in range(2):
-        ds, vocab, cfg, table = tiny_world()
-        tcfg = tr.TrainConfig(epochs=2, seed=7, val_fraction=0.25)
-        result = tr.train(ds, vocab, table, cfg, tcfg)
+        ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=7)
+        tcfg = tr.TrainConfig(epochs=2, seed=7)
+        result = tr.train(ds, vocab, table, cfg, tcfg, val_ds)
         path = tmp_path / f"run{run}.ckpt"
         tr.save_checkpoint(result.best, path)
         outs.append((result.history, path.read_bytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
 
-    ds, vocab, cfg, table = tiny_world()
-    other = tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=2, seed=8, val_fraction=0.25))
+    ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=7)
+    other = tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=2, seed=8), val_ds)
     assert other.history != outs[0][0]
 
 
 def test_train_trains_the_table_it_is_given():
-    tcfg = tr.TrainConfig(epochs=2, seed=0, val_fraction=0.25)
+    tcfg = tr.TrainConfig(epochs=2, seed=0)
     runs = []
     for _ in range(2):  # each run on its own fresh, same-seed table
-        ds, vocab, cfg, table = tiny_world(n_dialogues=4)
+        ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=0, n_dialogues=4)
         before = table.weights.data.copy()
-        runs.append(tr.train(ds, vocab, table, cfg, tcfg))
+        runs.append(tr.train(ds, vocab, table, cfg, tcfg, val_ds))
         assert np.shares_memory(runs[-1].last.tensors["embedding"], table.weights.data)
         assert not np.array_equal(table.weights.data, before)
     first, second = runs
@@ -952,7 +962,7 @@ def test_train_trains_the_table_it_is_given():
 
     frozen = emb.random_table(vocab, cfg.embed_dim, seed=50, trainable=False)
     before = frozen.weights.data.copy()
-    tr.train(ds, vocab, frozen, cfg, tcfg)
+    tr.train(ds, vocab, frozen, cfg, tcfg, val_ds)
     assert frozen.weights.data.tobytes() == before.tobytes()
 
 
@@ -961,13 +971,13 @@ def test_train_allocates_less_than_one_table(trainable, epochs):
     # A toy model whose vocab holds 40k tokens the corpus never uses: a 4.9 MB
     # table. A copy of it, for training or for the best epoch's snapshot,
     # would take the peak past the table's own size.
-    ds, vocab, cfg, _ = tiny_world(embed_dim=16)
+    ds, val_ds, vocab, cfg, _ = held_out_world(0.1, split_seed=0, embed_dim=16)
     vocab = pp.Vocab(vocab.tokens + [f"unseen{i}" for i in range(40_000)])
     table = emb.random_table(vocab, cfg.embed_dim, seed=50, trainable=trainable)
     tcfg = tr.TrainConfig(epochs=epochs, seed=0)
     tracemalloc.start()
     try:
-        result = tr.train(ds, vocab, table, cfg, tcfg)
+        result = tr.train(ds, vocab, table, cfg, tcfg, val_ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -978,9 +988,9 @@ def test_train_allocates_less_than_one_table(trainable, epochs):
 
 
 def test_train_best_checkpoint_tracks_peak_val_uwa():
-    ds, vocab, cfg, table = tiny_world(n_dialogues=8)
-    tcfg = tr.TrainConfig(epochs=4, seed=2, lr0=0.02, dropout=0.0, val_fraction=0.25)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=2, n_dialogues=8)
+    tcfg = tr.TrainConfig(epochs=4, seed=2, lr0=0.02, dropout=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds)
     uwas = [row["val_uwa"] for row in result.history]
     best_epoch = result.best.metadata["epoch"]
     assert uwas[best_epoch] == max(uwas)
@@ -990,12 +1000,12 @@ def test_train_best_checkpoint_tracks_peak_val_uwa():
 
 def test_train_best_checkpoint_equals_a_run_stopped_at_the_best_epoch():
     ds, vocab, cfg, table = tiny_world(n_dialogues=12)
-    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.02, dropout=0.0, val_fraction=0.0)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.02, dropout=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg, ds)
     best = result.best.metadata["epoch"]
     assert 0 < best < 4  # later epochs train on after the best one
     _, _, _, fresh = tiny_world(n_dialogues=12)  # train() has trained the first table
-    stopped = tr.train(ds, vocab, fresh, cfg, dataclasses.replace(tcfg, epochs=best + 1))
+    stopped = tr.train(ds, vocab, fresh, cfg, dataclasses.replace(tcfg, epochs=best + 1), ds)
     assert result.best.tensors.keys() == stopped.last.tensors.keys()
     for name, arr in result.best.tensors.items():
         assert arr.tobytes() == stopped.last.tensors[name].tobytes(), name
@@ -1003,8 +1013,8 @@ def test_train_best_checkpoint_equals_a_run_stopped_at_the_best_epoch():
 
 def test_train_best_last_epoch_shares_the_last_checkpoint_arrays():
     ds, vocab, cfg, table = tiny_world(n_dialogues=8)
-    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.05, dropout=0.0, val_fraction=0.0)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    tcfg = tr.TrainConfig(epochs=5, seed=0, lr0=0.05, dropout=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg, ds)
     assert result.best.metadata["epoch"] == 4
     assert result.best.tensors.keys() == result.last.tensors.keys()
     for name, arr in result.best.tensors.items():
@@ -1012,40 +1022,26 @@ def test_train_best_last_epoch_shares_the_last_checkpoint_arrays():
 
 
 def test_train_bilstm_variant_batches_flat_utterances():
-    ds, vocab, cfg, table = tiny_world(variant="bilstm")
-    tcfg = tr.TrainConfig(epochs=2, seed=3, batch_size=4, val_fraction=0.25)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=3, variant="bilstm")
+    tcfg = tr.TrainConfig(epochs=2, seed=3, batch_size=4)
+    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds)
     assert len(result.history) == 2
     assert result.best.model_config.variant == "bilstm"
-
-
-def test_train_val_fraction_zero_scores_the_training_set():
-    ds, vocab, cfg, table = tiny_world(n_dialogues=4)
-    tcfg = tr.TrainConfig(epochs=1, seed=0, val_fraction=0.0)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
-    assert result.history[0]["val_wa"] is not None
 
 
 def test_train_accepts_an_explicit_validation_set():
     ds, vocab, cfg, table = tiny_world(n_dialogues=6)
     val = synthetic.build(n_dialogues=2, seed=99)
-    tcfg = tr.TrainConfig(epochs=1, seed=0, val_fraction=0.5)
-    result = tr.train(ds, vocab, table, cfg, tcfg, val_ds=val)
-    # explicit val set means no split: all six dialogues keep training
-    assert result.history[0]["val_uwa"] is not None
-
-
-def test_train_refuses_a_split_that_eats_everything():
-    ds, vocab, cfg, table = tiny_world(n_dialogues=2)
-    tcfg = tr.TrainConfig(epochs=1, val_fraction=0.75)
-    with pytest.raises(ValueError, match="consumed every"):
-        tr.train(ds, vocab, table, cfg, tcfg)
+    result = tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=1, seed=0), val_ds=val)
+    # The epoch is scored on val, as evaluate_dataset scores the trained model on it.
+    report = tr.evaluate_dataset(val, vocab, tr.params_from_checkpoint(result.last)[1], cfg)
+    assert (result.history[0]["val_wa"], result.history[0]["val_uwa"]) == (report.wa, report.uwa)
 
 
 def test_train_loss_trends_down_on_the_synthetic_set():
     ds, vocab, cfg, table = tiny_world(n_dialogues=10)
-    tcfg = tr.TrainConfig(epochs=5, seed=4, lr0=0.02, dropout=0.0, val_fraction=0.0)
-    result = tr.train(ds, vocab, table, cfg, tcfg)
+    tcfg = tr.TrainConfig(epochs=5, seed=4, lr0=0.02, dropout=0.0)
+    result = tr.train(ds, vocab, table, cfg, tcfg, ds)
     losses = [row["train_loss"] for row in result.history]
     assert losses[-1] < losses[0]
 
