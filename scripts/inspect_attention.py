@@ -27,7 +27,7 @@ def attention_matrix(texts, vocab, params):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--checkpoint", help="trained model (default: quick synthetic fit)")
+    ap.add_argument("--checkpoint", help="trained sa-bilstm model (default: quick synthetic fit)")
     ap.add_argument("--vocab", help="vocab file (default: next to the checkpoint)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
@@ -39,6 +39,8 @@ def main(argv=None):
             _, vocab, cfg, params = cli._load_model(args)
         except (cli.CliError, tr.CheckpointError) as exc:
             sys.exit(f"error: {exc}")
+        if cfg.variant != "sa-bilstm":
+            sys.exit(f"error: {args.checkpoint} holds a {cfg.variant} model, which has no attention layer")
     else:
         ds = synthetic.build(n_dialogues=20, seed=args.seed)
         vocab = tr.vocab_from_dataset(ds)

@@ -173,13 +173,13 @@ class RowGrad:
         return RowGrad(self.shape, self.ids, self.rows * c)
 
 
-def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
+def gather_rows(a: Tensor, ids) -> Tensor:
     """Select rows of a matrix by a 1-d index array; gradient scatter-adds back.
 
     The result has shape ``(len(ids), a.shape[1])`` and the gradient is a
-    RowGrad over the distinct ids. Rows listed in ``stop_grad_rows`` never
-    receive gradient, which keeps reserved rows (like an all-zero padding
-    row) fixed under training.
+    RowGrad over the distinct ids, so every row looked up receives gradient.
+    A row that must stay fixed (like an all-zero padding row) must not be
+    among ``ids``; EmbeddingTable.lookup refuses the pad id.
     """
     _require_shape("gather_rows", a.shape, 2)
     idx = np.asarray(ids, dtype=np.intp)
@@ -188,14 +188,12 @@ def gather_rows(a: Tensor, ids, stop_grad_rows: Iterable[int] = ()) -> Tensor:
     if idx.min() < 0 or idx.max() >= a.shape[0]:
         raise ValueError(f"gather_rows: ids out of range for shape {a.shape}")
     shape = a.shape
-    frozen = tuple(stop_grad_rows)
 
     def rule(g):
-        keep = ~np.isin(idx, frozen)
-        row_ids, slot = np.unique(idx[keep], return_inverse=True)
+        row_ids, slot = np.unique(idx, return_inverse=True)
         rows = np.zeros((len(row_ids), shape[1]))
         # Each row sums its occurrences in index order, as a dense scatter-add would.
-        np.add.at(rows, slot, g[keep])
+        np.add.at(rows, slot, g)
         return (RowGrad(shape, row_ids, rows),)
 
     return _out(a.data[idx], (a,), rule)

@@ -69,6 +69,16 @@ def _parse_class_weights(text: str):
         raise argparse.ArgumentTypeError(f"bad class_weights {text!r}: {exc}")
 
 
+def _min_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+_min_count.__name__ = "int"  # argparse names the type in its errors
+
+
 def _optional(parse):
     def parse_optional(text: str):  # blank text is None: the field's default
         return parse(text) if text.strip() else None
@@ -244,12 +254,9 @@ def cmd_preprocess(args) -> int:
 
 
 def _epoch_printer(row):
-    def pct(x):
-        return "    -" if x is None else f"{100.0 * x:5.1f}"
-
     print(
         f"epoch {row['epoch']:>3}  lr {row['lr']:.6f}  "
-        f"loss {row['train_loss']:.4f}  WA {pct(row['val_wa'])}  UWA {pct(row['val_uwa'])}"
+        f"loss {row['train_loss']:.4f}  WA {mx.pct(row['val_wa']):>5}  UWA {mx.pct(row['val_uwa']):>5}"
     )
 
 
@@ -269,9 +276,15 @@ def cmd_train(args) -> int:
             val_ds = ds
     elif not val_ds.dialogues:
         raise CliError("validation set holds no dialogues")
+    else:  # record that nothing was held out of the training file
+        tcfg = dataclasses.replace(tcfg, val_fraction=0.0)
 
     if weight_mode == "inverse-frequency":
-        tcfg = dataclasses.replace(tcfg, class_weights=tr.inverse_frequency_weights(ds))
+        try:
+            weights = tr.inverse_frequency_weights(ds)
+        except ValueError as exc:  # no considered label to count
+            raise CliError(str(exc))
+        tcfg = dataclasses.replace(tcfg, class_weights=weights)
 
     vocab = tr.vocab_from_dataset(ds, min_count=args.min_count)
     if args.embeddings is not None:
@@ -299,9 +312,8 @@ def cmd_train(args) -> int:
     tr.save_checkpoint(result.best, out / "checkpoint.bin")
     _write_json(out / "history.json", {**_provenance(result.best), "history": result.history})
     best = result.best.metadata["epoch"]
-    uwa = result.history[best]["val_uwa"]
-    shown = "-" if uwa is None else f"{100.0 * uwa:.1f}"
-    print(f"best epoch {best} (UWA {shown}) -> {out / 'checkpoint.bin'}")
+    uwa = mx.pct(result.history[best]["val_uwa"])
+    print(f"best epoch {best} (UWA {uwa}) -> {out / 'checkpoint.bin'}")
     return EXIT_OK
 
 
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--split", default="train", choices=[s.value for s in Split],
         help="split name for dialogue ids",
     )
-    p.add_argument("--min-count", type=int, default=1, help="drop rarer tokens from the vocab")
+    p.add_argument("--min-count", type=_min_count, default=1, help="drop rarer tokens from the vocab")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + history")
@@ -460,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", help="explicit validation JSON (skips the internal split)")
     p.add_argument("--embeddings", help="pretrained word vector text file")
     p.add_argument("--freeze-embeddings", action="store_true")
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=_min_count, default=1)
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch rows")
     p.set_defaults(func=cmd_train)
 

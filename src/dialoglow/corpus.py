@@ -2,6 +2,7 @@
 
 The on-disk format is a JSON array of dialogues, each dialogue an array of
 utterance objects with "speaker", "utterance" and "emotion" string fields.
+An emotion names its label in any case, surrounding whitespace ignored.
 Unknown fields are ignored; utterance text is kept byte for byte.
 """
 from __future__ import annotations
@@ -31,14 +32,6 @@ class EmotionLabel(enum.Enum):
     SURPRISE = "surprise"
     DISGUST = "disgust"
     NON_NEUTRAL = "non-neutral"
-
-    @classmethod
-    def parse(cls, s: str) -> "EmotionLabel":
-        """Case-insensitive lookup of the canonical label strings."""
-        try:
-            return _LABEL_BY_NAME[s.strip().lower()]
-        except KeyError:
-            raise CorpusError(f"unknown emotion label: {s!r}") from None
 
     def __str__(self) -> str:
         return self.value
@@ -164,14 +157,9 @@ def load_dataset(path: "str | Path", split: Split) -> Dataset:
                     f"{path}: dialogue {di}, utterance {ui} has non-string fields"
                 )
             # A canonical label string needs no strip or lowercasing.
-            gold = _LABEL_BY_NAME.get(emotion)
+            gold = _LABEL_BY_NAME.get(emotion) or _LABEL_BY_NAME.get(emotion.strip().lower())
             if gold is None:
-                try:
-                    gold = EmotionLabel.parse(emotion)
-                except CorpusError:
-                    raise CorpusError(
-                        f"{path}: unknown emotion {emotion!r} in dialogue {di}"
-                    ) from None
+                raise CorpusError(f"{path}: unknown emotion {emotion!r} in dialogue {di}")
             utts.append(Utterance(speaker, text_field, gold))
         dialogues.append(Dialogue(id=f"{split.value}-{di:04d}", utterances=utts))
     return Dataset(split=split, dialogues=dialogues)

@@ -43,10 +43,13 @@ class EmbeddingTable:
     def lookup(self, ids) -> Tensor:
         """Rows for a 1-d token-id sequence; participates in the tape.
 
-        The padding row is excluded from gradient flow, so it stays zero
-        no matter how long training runs.
+        ``ids`` must not hold PAD_ID, which Vocab.encode never gives: a pad id
+        raises ValueError, so the padding row never moves from zero.
         """
-        return gather_rows(self.weights, ids, stop_grad_rows=(PAD_ID,))
+        idx = np.asarray(ids, dtype=np.intp)
+        if PAD_ID in idx:
+            raise ValueError(f"lookup: token ids hold the pad id {PAD_ID}")
+        return gather_rows(self.weights, idx)
 
 
 def _fill(vocab: Vocab, dim: int, seed: int, found: dict[int, np.ndarray], trainable: bool):
@@ -74,7 +77,6 @@ def load_pretrained(
     number, when a line does not carry exactly ``dim`` values or one fails.
     """
     path = Path(path)
-    wanted = {tok: i for i, tok in enumerate(vocab.tokens) if tok not in SPECIALS}
     found: dict[int, np.ndarray] = {}
     try:
         with path.open(encoding="utf-8") as fh:
@@ -88,8 +90,8 @@ def load_pretrained(
                         f"{path}: line {ln}: expected {dim} values after the token, "
                         f"got {len(parts) - 1}"
                     )
-                idx = wanted.get(parts[0])
-                if idx is None or idx in found:
+                idx = vocab.index.get(parts[0])
+                if idx is None or idx < len(SPECIALS) or idx in found:  # specials come first
                     continue
                 try:
                     vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)

@@ -123,15 +123,16 @@ class EvalReport:
 
     def table(self) -> str:
         headers = ["WA", "UWA"] + [str(label).capitalize() for label in CONSIDERED_LABELS]
-        cells = [_pct(self.wa), _pct(self.uwa)]
-        cells += [_pct(a) for a in self.per_class_acc]
+        cells = [pct(self.wa), pct(self.uwa)]
+        cells += [pct(a) for a in self.per_class_acc]
         widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
         head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
         body = "  ".join(c.rjust(w) for c, w in zip(cells, widths))
         return head + "\n" + body
 
 
-def _pct(fraction) -> str:
+def pct(fraction) -> str:
+    """A fraction as a percentage with one decimal, "-" for None."""
     return "-" if fraction is None else f"{100.0 * fraction:.1f}"
 
 

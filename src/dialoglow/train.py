@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,19 +226,14 @@ def inverse_frequency_weights(ds: Dataset) -> tuple:
     Classes absent from the dataset get weight 0 (there is nothing to
     reweight), as do the never-considered labels.
     """
-    n = len(CONSIDERED_LABELS)
-    counts = [0] * n
-    for d in ds.dialogues:
-        for u in d.utterances:
-            gi = LABEL_INDEX[u.gold]
-            if gi < n:
-                counts[gi] += 1
+    golds = Counter(u.gold for d in ds.dialogues for u in d.utterances)
+    counts = [golds[lab] for lab in CONSIDERED_LABELS]
     present = [c for c in counts if c > 0]
     if not present:
         raise ValueError("no considered-label utterances to derive weights from")
     mean_count = sum(present) / len(present)
     weights = [mean_count / c if c > 0 else 0.0 for c in counts]
-    return tuple(weights) + (0.0,) * (len(LABEL_ORDER) - n)
+    return tuple(weights) + (0.0,) * (len(LABEL_ORDER) - len(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -435,22 +435,6 @@ def test_seeded_rng_reproducible_and_streams_distinct():
     assert not np.array_equal(a, c)
 
 
-def test_gather_rows_keeps_frozen_row_out_of_gradient():
-    table = ad.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
-    with ad.Tape() as tape:
-        picked = ad.gather_rows(table, [0, 2, 0], stop_grad_rows=(0,))
-        loss = project(picked, np.ones((3, 3)))
-    grad = np.asarray(ad.backward(tape, loss)[table])
-    assert np.array_equal(grad[0], np.zeros(3))
-    assert np.array_equal(grad[2], np.ones(3))
-    with ad.Tape() as tape:
-        picked = ad.gather_rows(table, [0, 2, 2, 0], stop_grad_rows=(0,))
-        loss = project(picked, np.ones((4, 3)))
-    grad = np.asarray(ad.backward(tape, loss)[table])
-    assert np.array_equal(grad[0], np.zeros(3))
-    assert np.array_equal(grad[2], np.full(3, 2.0))
-
-
 @pytest.mark.parametrize("ids", [[], [[0, 2], [2, 0]], 1], ids=["empty", "2-d", "scalar"])
 def test_gather_rows_takes_only_a_non_empty_1d_index_array(ids):
     with pytest.raises(ValueError, match="non-empty 1-d index array"):
@@ -463,19 +447,18 @@ def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
     ids1, ids2 = np.array([[1, 3, 1], [0, 5, 3]]), np.array([4, 1, 1, 0])
     r1, r2 = rng.normal(size=(2, 3, 3)), rng.normal(size=(4, 3))
     with ad.Tape() as tape:
-        a = ad.gather_rows(table, ids1.reshape(-1), stop_grad_rows=(0,))
-        b = ad.gather_rows(table, ids2, stop_grad_rows=(0,))
+        a = ad.gather_rows(table, ids1.reshape(-1))
+        b = ad.gather_rows(table, ids2)
         loss = project(ad.concat([a, b]), np.concatenate([r1.reshape(-1, 3), r2]))
     got = ad.backward(tape, loss)[table]
     assert isinstance(got, ad.RowGrad)
-    assert got.ids.tolist() == [1, 3, 4, 5]  # sorted, distinct, frozen row left out
+    assert got.ids.tolist() == [0, 1, 3, 4, 5]  # sorted, distinct
     # Oracle: the dense scatter-add per lookup, summed in backward's order
     # (the later lookup's gradient arrives first).
     dense = []
     for ids, r in ((ids1, r1), (ids2, r2)):
         d = np.zeros((6, 3))
         np.add.at(d, ids, r)
-        d[0] = 0.0
         dense.append(d)
     assert np.array_equal(np.asarray(got), dense[1] + dense[0])
 

@@ -349,6 +349,43 @@ def test_train_inverse_frequency_weights_flag(tmp_path):
     assert all(w > 0 for w in weights[:4])
 
 
+def test_train_inverse_frequency_weights_without_a_considered_label_exit_2(tmp_path, capsys):
+    doc = [[{"speaker": "a", "utterance": "whoa", "emotion": "surprise"},
+            {"speaker": "b", "utterance": "ugh", "emotion": "disgust"}]]
+    data, out = tmp_path / "odd.json", tmp_path / "x"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["train", str(data), "--out", str(out), "--val-fraction", "0", "--quiet"]
+    assert cli.main(argv + ["--class-weights", "inverse-frequency"]) == 2
+    assert capsys.readouterr().err == "error: no considered-label utterances to derive weights from\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--val-fraction", "0.5"]], ids=["config", "flag"])
+def test_train_with_an_explicit_val_file_records_nothing_held_out(tmp_path, flags):
+    # The config file sets val_fraction 0.25; --val holds nothing out of the training file.
+    val = write_corpus(tmp_path, n=2, seed=1, name="val.json")
+    rc, out = run_train(tmp_path, extra=["--val", str(val), "--epochs", "1", *flags])
+    assert rc == 0
+    assert json.loads((out / "history.json").read_text())["config"]["train"]["val_fraction"] == 0.0
+    assert tr.load_checkpoint(out / "checkpoint.bin").metadata["train_config"]["val_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+@pytest.mark.parametrize(
+    "count, message",
+    [("0", "must be at least 1, got 0"), ("-3", "must be at least 1, got -3"),
+     ("x", "invalid int value: 'x'")],
+    ids=["0", "-3", "x"],
+)
+def test_min_count_below_one_exits_2(tmp_path, capsys, command, count, message):
+    data, out = write_corpus(tmp_path), tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, str(data), "--out", str(out), "--min-count", count])
+    assert exit_.value.code == 2
+    assert f"error: argument --min-count: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The train flag of every config field, spelled out: the config file's key with
 # dashes, and --lr for lr0.
 FLAGS = {

@@ -51,15 +51,6 @@ def test_load_dataset_reads_fields_and_labels(tmp_path):
     assert [d.id for d in ds.dialogues] == ["train-0000", "train-0001"]
 
 
-def test_label_parse_is_case_insensitive_and_closed():
-    assert EmotionLabel.parse("NON-NEUTRAL") is EmotionLabel.NON_NEUTRAL
-    assert EmotionLabel.parse(" Surprise ") is EmotionLabel.SURPRISE
-    assert str(EmotionLabel.DISGUST) == "disgust"
-    with pytest.raises(CorpusError) as err:
-        EmotionLabel.parse("meh")
-    assert "'meh'" in str(err.value)
-
-
 def test_malformed_json_reports_byte_offset(tmp_path):
     doc = '[[{"speaker": "é", "utterance": "hi", "emotion": "joy"}]] trailing'
     p = tmp_path / "bad.json"
@@ -83,12 +74,20 @@ def test_unknown_emotion_names_string_and_dialogue(tmp_path):
     assert str(err.value) == f"{p}: unknown emotion 'confuzzled' in dialogue 1"
 
 
-@pytest.mark.parametrize("label", [" Joy ", "JOY\n", "joy"], ids=repr)
+SPELLINGS = {
+    " Joy ": EmotionLabel.JOY, "JOY\n": EmotionLabel.JOY, "joy": EmotionLabel.JOY,
+    "NON-NEUTRAL": EmotionLabel.NON_NEUTRAL, " Surprise ": EmotionLabel.SURPRISE,
+}
+
+
+@pytest.mark.parametrize("label", list(SPELLINGS), ids=repr)
 def test_label_spellings_load_as_the_canonical_label(tmp_path, label):
-    # "joy" takes the canonical-string lookup; the others fall back to parse().
+    # "joy" takes the canonical-string lookup; the others fall back to the
+    # stripped, lower-cased one.
     doc = [[{"speaker": "a", "utterance": "hi", "emotion": label}]]
     ds = corpus.load_dataset(write_corpus(tmp_path, doc), Split.TRAIN)
-    assert ds.dialogues[0].utterances[0].gold is EmotionLabel.JOY
+    assert ds.dialogues[0].utterances[0].gold is SPELLINGS[label]
+    assert str(EmotionLabel.DISGUST) == "disgust"
 
 
 def test_empty_dialogue_rejected(tmp_path):

@@ -126,11 +126,10 @@ def test_lookup_gathers_rows_and_blocks_pad_gradient():
     g = np.asarray(grads[table.weights])
     assert np.array_equal(g[v.index["hi"]], 2.0 * np.ones(3))  # fan-in accumulates
     assert np.array_equal(g[pp.PAD_ID], np.zeros(3))
-    # Even a (never produced in practice) pad id leaves the pad row alone.
-    with ad.Tape() as tape:
-        loss = project(table.lookup([pp.PAD_ID, pp.UNK_ID]), np.ones((2, 3)))
-    g = np.asarray(ad.backward(tape, loss)[table.weights])
-    assert np.array_equal(g[pp.PAD_ID], np.zeros(3))
+    # A pad id (Vocab.encode never gives one) is refused, not looked up.
+    for bad in ([pp.PAD_ID, pp.UNK_ID], np.array([pp.UNK_ID, pp.PAD_ID])):
+        with pytest.raises(ValueError, match="pad id"):
+            table.lookup(bad)
 
 
 def test_table_validation_rejects_nonzero_pad_row():

@@ -66,3 +66,14 @@ def test_missing_checkpoint_is_one_error_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         load_script().main(["--checkpoint", str(tmp_path / "absent.bin")])
     assert exc.value.code == f"error: no such file: {tmp_path / 'absent.bin'}"
+
+
+def test_bilstm_checkpoint_is_refused_as_it_has_no_attention(runs, tmp_path, capsys):
+    argv = ["train", str(runs / "a.json"), "--out", str(tmp_path), "--config", str(runs / "run.cfg")]
+    assert cli.main(argv + ["--variant", "bilstm", "--quiet"]) == 0
+    ckpt = tmp_path / "checkpoint.bin"
+    capsys.readouterr()  # the training run's last line
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--checkpoint", str(ckpt)])
+    assert exc.value.code == f"error: {ckpt} holds a bilstm model, which has no attention layer"
+    assert capsys.readouterr().out == ""

@@ -373,17 +373,17 @@ def test_row_gradient_adam_equals_dense_adam():
     rng = np.random.default_rng(8)
     # Each case: the table's shape, the ids each step looks up (None: no
     # embedding gradient that step) and the rows that have moved at the end.
-    # In the first, the touched rows change, ids repeat and the pad id appears. The
+    # In the first, the touched rows change and ids repeat. The
     # second is wider than one update slice (tr.ADAM_SLICE // 300 = 54 rows):
     # rows join below, between and above the rows already moved, one step adds
     # no new row, and the last moves every row but the pad row. In the third,
     # rows 1-4 move in the order 1, 3, 2, 4: one slice that spans a run of
     # consecutive ids without holding them in order.
     cases = [
-        ((7, 3), [[[1, 2, 2], [pp.PAD_ID, 5, 1]], [[3, pp.PAD_ID, 5]], None, [[2, 6, 6, 1]]],
+        ((7, 3), [[[1, 2, 2], [5, 1]], [[3, 5]], None, [[2, 6, 6, 1]]],
          [1, 2, 3, 5, 6]),
         ((5, 2), [[[1, 3]], [[2, 4]], None, [[3, 1]]], [1, 2, 3, 4]),
-        ((130, 300), [[[60, 62, 64], [70, 90, pp.PAD_ID]], [[5, 10, 62]], [[63, 65, 80]], None,
+        ((130, 300), [[[60, 62, 64], [70, 90]], [[5, 10, 62]], [[63, 65, 80]], None,
                       [[120, 129, 129]], [[5, 60, 129]], [list(range(1, 130))]],
          list(range(1, 130))),
     ]
@@ -398,11 +398,11 @@ def test_row_gradient_adam_equals_dense_adam():
         for t, ids in enumerate(steps):
             grads = {"w": rng.normal(size=4)}
             if ids is not None:
-                ids = np.ravel(ids)
+                ids = np.concatenate(ids)
                 probe = ad.Tensor(np.zeros(shape), requires_grad=True)
                 r = rng.normal(size=(len(ids), shape[1]))
                 with ad.Tape() as tape:
-                    picked = ad.gather_rows(probe, ids, stop_grad_rows=(pp.PAD_ID,))
+                    picked = ad.gather_rows(probe, ids)
                     loss = project(picked, r)
                 grads["embedding"] = ad.backward(tape, loss)[probe]
                 assert isinstance(grads["embedding"], ad.RowGrad)
@@ -1102,7 +1102,7 @@ def test_cli_predict_labels_tally_to_evaluate_dataset(tmp_path):
 
     predicted = json.loads(out.read_text(encoding="utf-8"))
     assert [len(dlg) for dlg in predicted] == [len(d) for d in ds.dialogues]
-    preds = [LABEL_INDEX[EmotionLabel.parse(u["predicted_emotion"])] for dlg in predicted for u in dlg]
+    preds = [LABEL_INDEX[EmotionLabel(u["predicted_emotion"])] for dlg in predicted for u in dlg]
     golds = [LABEL_INDEX[u.gold] for d in ds.dialogues for u in d.utterances]
     report = tr.evaluate_dataset(ds, vocab, params, cfg)
     assert len(set(preds)) > 1
