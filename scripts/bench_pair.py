@@ -17,13 +17,18 @@ medians, the parent's quartiles and their spread relative to its
 median (comparable to the metric's bound), the median of the per-pair ratios
 (change / parent), how many pairs the change won, judged by the metrics'
 `better` fields in that file, and the verdict that the metric's `bound` there
-gives (see `verdict`). Pairs whose two runs' steal shares differ by more than
-STEAL_GAP are listed per workload: the machine, not the code, may have moved
-them.
+gives (see `verdict`). Next to it stand the per-pair ratios' quartiles, a
+confidence interval of their median (see `median_interval`) and the paired
+verdict the same bound gives on the ratios (see `paired_verdict`): a drift of
+the machine that moves both runs of a pair alike cancels in their ratio, but
+widens the parent's own spread. Pairs whose two runs' steal shares differ by
+more than STEAL_GAP are listed per workload: the machine, not the code, may
+have moved them.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -36,6 +41,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 STEAL_GAP = 0.05  # a pair's runs whose steal shares differ by more than this are flagged
+MEDIAN_CI = 0.95  # the least coverage of median_interval
 
 
 def cpu_ticks():
@@ -112,13 +118,50 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
+def median_interval(values: list):
+    """A distribution-free confidence interval of the median of values, with
+    coverage at least MEDIAN_CI: (the k-th smallest, the k-th largest) value
+    for the largest k whose interval covers the median with probability
+    1 - 2 P(Binomial(n, 1/2) < k). None when no k >= 1 reaches MEDIAN_CI,
+    which takes at least 6 values; 10 values give the 2nd and the 9th."""
+    n, ordered = len(values), sorted(values)
+    tail, k = 0.0, 0
+    while k < n // 2 and 1.0 - 2.0 * (tail + math.comb(n, k) / 2**n) >= MEDIAN_CI:
+        tail += math.comb(n, k) / 2**n
+        k += 1
+    return (ordered[k - 1], ordered[n - k]) if k else None
+
+
+def paired_verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """One metric's verdict from its per-pair ratios change[i] / parent[i]
+    (no parent value may be 0), with bound a share of 1, checked in this
+    order: "worse" when the median ratio is worse than 1 by more than bound;
+    "unresolved" when the ratios' quartile spread exceeds bound, or when
+    median_interval gives no interval or one whose worse end lies past the
+    bound; "gain" when the change wins at least 9/10 of the pairs and the
+    whole interval lies on the better side of 1; else "within bound"."""
+    sign = 1 if better == "higher" else -1
+    ratios = [c / p for p, c in zip(parent, change)]
+    if sign * (1.0 - statistics.median(ratios)) > bound:
+        return "worse"
+    q1, q3 = quartiles(ratios)
+    interval = median_interval(ratios)
+    worst = None if interval is None else interval[0] if sign > 0 else interval[1]
+    if q3 - q1 > bound or worst is None or sign * (1.0 - worst) > bound:
+        return "unresolved"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and sign * (worst - 1.0) > 0:
+        return "gain"
+    return "within bound"
+
+
 def summarize(runs: list, better: dict, bounds: dict) -> dict:
     """Each side's failed operations, each side's median CPU seconds per
     attempted operation and their median pair ratio, the pairs whose steal
     shares differ by more than STEAL_GAP, and per metric: each side's median,
     the parent's quartiles and their spread relative to its median (as the
-    metrics' bounds are), the median pair ratio, the change's wins and the
-    verdict."""
+    metrics' bounds are), the median pair ratio, the ratios' quartiles and
+    median_interval, the change's wins, the verdict and the paired verdict."""
     pairs, cpu, steal = {}, {}, {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
@@ -134,12 +177,19 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
         if row["parent"]:
             row["parent_spread"] = (q3 - q1) / abs(row["parent"])
         if all(parent):
-            row["ratio"] = statistics.median(c / p for p, c in zip(parent, change))
+            ratios = [c / p for p, c in zip(parent, change)]
+            row["ratio"] = statistics.median(ratios)
+            row["ratio_quartiles"] = list(quartiles(ratios))
+            interval = median_interval(ratios)
+            row["ratio_interval"] = None if interval is None else list(interval)
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             row["change_better_pairs"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             if name in bounds:
                 row["verdict"] = verdict(parent, change, better[name], bounds[name])
+                if all(parent):
+                    row["paired_verdict"] = paired_verdict(parent, change, better[name],
+                                                           bounds[name])
         metrics[name] = row
     failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side) for side in SIDES}
     cpu_per_op = {side: statistics.median(p[side] for p in cpu.values()) for side in SIDES}
@@ -197,7 +247,8 @@ def main():
             print(f"{workload:9s} {name:22s} {row['parent']:>10.4g} -> {row['change']:>10.4g} "
                   f"{row['unit']:6s} ratio {row.get('ratio', float('nan')):.3f} "
                   f"wins {row.get('change_better_pairs', '-')}/{args.pairs} "
-                  f"parent spread {row.get('parent_spread', float('nan')):.3f} {judged}")
+                  f"parent spread {row.get('parent_spread', float('nan')):.3f} {judged}; "
+                  f"paired {row.get('paired_verdict', '-')}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ over them and max-pools them; ``self_attention`` mixes a window's rows by
 scaled dot-product weights. Every op runs on plain numpy arrays; while a
 tape is open, ops that touch a gradient-bearing tensor append a backward rule
 to it, and ``backward`` replays the tape in reverse. Creation order is already
-topological, so no sorting is needed and every rule fires at most once.
+topological, so no sorting is needed and every rule fires at most once;
+``bilstm_max``'s rule relies on that, as it consumes its forward's buffers.
 
 ``bilstm_max`` is the only op that uses a second thread. When its weights
 are large enough (PARALLEL_MIN_WEIGHTS) and the usable CPUs hold both
@@ -262,6 +263,16 @@ def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray
     hidden state over each row's steps, in sorted row order, and the BPTT
     rule mapping its gradient to (d xp, d w, d b). Of tied steps, the first
     in time takes the gradient.
+
+    Per token the forward keeps the gate activations, the cells and the
+    hidden states, and no ``tanh(c)``: a step's ``tanh(c)`` goes to an
+    (n, h) scratch array, and BPTT recomputes it from the cells. The rule
+    consumes the forward's buffers, so it runs once, as ``backward`` runs
+    every rule of a tape (``grad_check`` runs ``backward`` once per tape):
+    it writes the gate gradients over the activations and the pooled
+    gradient over the hidden states. Besides its outputs it allocates one
+    (tokens, d + h) array, [x_t, h_prev] per token, the input of the
+    weight gradient's single GEMM.
     """
     tokens, d = xp.shape
     n, hid = int(sizes[0]), b.shape[0] // 4
@@ -271,7 +282,7 @@ def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray
     starts = [0, *itertools.accumulate(sizes.tolist())]
     acts = _product(xp, w_x.T)  # pre-activations, turned into gate activations i, f, g, o
     acts += b
-    cells, tanh_c, hs = np.empty((tokens, hid)), np.empty((tokens, hid)), np.empty((tokens, hid))
+    cells, hs, tanh_c = np.empty((tokens, hid)), np.empty((tokens, hid)), np.empty((n, hid))
     u = np.empty((n, hid))
     u.fill(-np.inf)
     # (block start, live rows, block start of the step before in the walk,
@@ -289,7 +300,7 @@ def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray
         sigmoid(sig)
         np.tanh(g, out=g)
         sigmoid(o)
-        c, tc, h = cells[lo:hi], tanh_c[lo:hi], hs[lo:hi]
+        c, tc, h = cells[lo:hi], tanh_c[:m], hs[lo:hi]
         np.multiply(sig[:, :hid], g, out=c)  # i * g
         if k:
             c[:k] += sig[:k, hid:] * cells[p : p + k]  # + f * c_prev
@@ -299,31 +310,38 @@ def _pooled_lstm(xp: np.ndarray, sizes: np.ndarray, w: np.ndarray, b: np.ndarray
         p, k = lo, m
 
     def rule(gu):
-        # Each maximum's packed position, the first in time of tied steps, takes its gradient.
-        over_time = np.full((len(sizes), n, hid), -np.inf)
-        over_time[np.arange(n) < sizes[:, None]] = hs  # time-major, as packed
-        at = np.asarray(starts)[np.argmax(over_time, axis=0)] + np.arange(n)[:, None]
-        dh_out = np.zeros((tokens, hid))
-        np.put_along_axis(dh_out, at, gu, axis=0)
-        d_pre = np.empty_like(acts)
-        h_in = np.zeros((tokens, hid))
-        dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
+        inputs = np.empty((tokens, d + hid))
+        inputs[:, :d] = xp
+        for lo, m, p, k in walk:
+            inputs[lo : lo + k, d:] = hs[p : p + k]
+            inputs[lo + k : lo + m, d:] = 0.0  # a row's first step starts from h = 0
+        # Each maximum's packed position, the first in time of tied steps,
+        # takes its gradient: hs becomes the pooled gradient of each token.
+        pending = np.ones((n, hid), dtype=bool)
+        for lo, hi in zip(starts, starts[1:]):
+            at = hs[lo:hi] == u[: hi - lo]
+            at &= pending[: hi - lo]
+            pending[: hi - lo] ^= at
+            hs[lo:hi] = 0.0
+            np.copyto(hs[lo:hi], gu[: hi - lo], where=at)
+        dh, dc, f_prev = np.zeros((n, hid)), np.zeros((n, hid)), np.empty((n, hid))
         for lo, m, p, k in reversed(walk):
-            a, tc, da = acts[lo : lo + m], tanh_c[lo : lo + m], d_pre[lo : lo + m]
+            a, tc = acts[lo : lo + m], np.tanh(cells[lo : lo + m], out=tanh_c[:m])
             i, f, g, o = (a[:, j * hid : (j + 1) * hid] for j in range(4))
-            dh[:m] += dh_out[lo : lo + m]
+            dh[:m] += hs[lo : lo + m]
             dc[:m] += dh[:m] * o * (1.0 - tc * tc)
-            da[:, :hid] = dc[:m] * g * i * (1.0 - i)
-            da[:k, hid : 2 * hid] = dc[:k] * cells[p : p + k] * f[:k] * (1.0 - f[:k])
-            da[k:, hid : 2 * hid] = 0.0  # a row's first step starts from c = 0
-            da[:, 2 * hid : 3 * hid] = dc[:m] * i * (1.0 - g * g)
-            da[:, 3 * hid :] = dh[:m] * tc * o * (1.0 - o)
+            # Each gate's gradient overwrites its activation after the last read of it.
+            o[:] = dh[:m] * tc * o * (1.0 - o)
+            f_prev[:k] = f[:k]  # the forget gates that carry dc to the step before
+            f[:k] = dc[:k] * cells[p : p + k] * f[:k] * (1.0 - f[:k])
+            f[k:] = 0.0  # a row's first step starts from c = 0
+            di = dc[:m] * g * i * (1.0 - i)
+            g[:] = dc[:m] * i * (1.0 - g * g)
+            i[:] = di
             if k:
-                h_in[lo : lo + k] = hs[p : p + k]
-                dh[:k] = _product(da[:k], w_h)
-                dc[:k] *= f[:k]
-        inputs = np.concatenate([xp, h_in], axis=1)
-        return _product(d_pre, w_x), d_pre.T @ inputs, d_pre.sum(axis=0)
+                dh[:k] = _product(a[:k], w_h)
+                dc[:k] *= f_prev[:k]
+        return _product(acts, w_x), acts.T @ inputs, acts.sum(axis=0)
 
     return u, rule
 
@@ -425,6 +443,10 @@ def bilstm_max(
     BLAS thread count exceeds the usable CPUs: one CPU, or a BLAS thread
     count left at its default of one per CPU. The tape record and ``dx``'s
     sum happen on the calling thread in a fixed order either way.
+
+    The forward keeps no per-token ``tanh(c)``, and the BPTT rule consumes
+    the forward's buffers (``_pooled_lstm``), so it runs once, as
+    ``backward`` guarantees. Both directions read the one packed input.
     """
     _require_shape("bilstm_max", x.shape, 2)
     tokens, d = x.shape

@@ -523,10 +523,14 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
     by_name = {name: grads[t] for name, t in trainable.items() if t in grads}
+    value = float(loss.data)
+    # The tape holds the step's forward buffers and grads every op's gradient:
+    # free them before clipping and Adam run.
+    del tape, parts, logits, loss, grads
     if grad_clip is not None:
         clip_gradients(by_name, grad_clip)
     adam_step(trainable, by_name, state, lr)
-    return float(loss.data)
+    return value
 
 
 def train(

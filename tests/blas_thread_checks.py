@@ -5,6 +5,7 @@ OpenBLAS reads its thread count once, when numpy loads it, so
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/blas_thread_checks.py oracle
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 tests/blas_thread_checks.py two_threads
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/blas_thread_checks.py frozen_rule
 
 A check that fails raises, so the process exits non-zero with a traceback.
 """
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 import padded_lstm
+import separate_buffer_lstm
 from dialoglow import autodiff as ad
 from helpers import project
 
@@ -115,5 +117,46 @@ def two_threads():
     assert all(near(a, b) for a, b in zip(grads[1:], grads_want[1:]))
 
 
+def frozen_rule():
+    """The op against itself run on the frozen ``separate_buffer_lstm`` direction.
+
+    The BPTT rule that works in the forward's buffers must give the output
+    and all five gradients bit for bit as the rule that kept buffers of its
+    own, on one OpenBLAS thread (where full-size directions run on two
+    threads, sharing the packed input) and on two (one direction after the
+    other, each product on two threads).
+    """
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    assert threads in ("1", "2")
+    os.sched_getaffinity = lambda pid: {0, 1}
+    assert ad._cores_for_both_directions() == (threads == "1")
+    rng = np.random.default_rng(28)
+    cases = {
+        "dialogue-shaped": np.maximum(1, rng.poisson(11, size=15)).tolist(),
+        "one row": [7],
+        "one-step rows": [1, 1, 1, 1],
+        "equal lengths": [6, 6, 6, 6, 6],
+    }
+    runs = [(name, *full_size(rng, lengths), lengths) for name, lengths in cases.items()]
+    # test_max_over_time_routes_to_first_argmax's all-tie case: with zero
+    # weights and f = 0 every step of a row has the same hidden state.
+    hid, d = 2, 3
+    b = np.repeat([0.4, -1000.0, 0.9, 0.2], hid)
+    tie = [np.zeros((4 * hid, d + hid)), b] * 2
+    runs.append(("all ties", rng.normal(size=(2, 4, d)), tie, rng.uniform(0.5, 1.5, (2, 2 * hid)),
+                 [4, 2]))
+    separate = separate_buffer_lstm.pooled_lstm
+    in_place = ad._pooled_lstm
+    for name, x, params, g, lengths in runs:
+        u, grads = packed(x, lengths, params, g)
+        ad._pooled_lstm = separate
+        try:
+            u_want, grads_want = packed(x, lengths, params, g)
+        finally:
+            ad._pooled_lstm = in_place
+        assert np.array_equal(u, u_want), name
+        assert len(grads) == 5 and all(np.array_equal(a, b) for a, b in zip(grads, grads_want)), name
+
+
 if __name__ == "__main__":
-    {"oracle": oracle, "two_threads": two_threads}[sys.argv[1]]()
+    {"oracle": oracle, "two_threads": two_threads, "frozen_rule": frozen_rule}[sys.argv[1]]()

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -630,3 +631,32 @@ def test_packed_bilstm_max_matches_the_padded_encoder_under_one_blas_thread():
 
 def test_packed_bilstm_max_matches_the_padded_encoder_under_two_blas_threads():
     run_with_blas_threads(2, "two_threads")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bptt_in_the_forward_buffers_equals_the_frozen_separate_buffer_rule(threads):
+    run_with_blas_threads(threads, "frozen_rule")
+
+
+def test_bptt_allocates_only_its_outputs_and_one_input_buffer():
+    # A dialogue-shaped full-size batch. Besides dx, dw and db, each
+    # direction's rule may allocate the (tokens, d + h) [x_t, h_prev] array
+    # and a margin of eight (n, h) arrays for its carries and per-step
+    # temporaries (about four are live at once). The rule that kept buffers
+    # of its own also allocated a (tokens, 4h) gate-gradient array, two
+    # (tokens, h) arrays and a (steps, n, h) one: 2.6 MB more here.
+    x, lengths, params, r = full_size_window(seed=5)
+    order, sizes, at = ad._pack(np.asarray(lengths))
+    xp, n, hid = x.data[at], len(lengths), 256
+    for reverse in (False, True):
+        w, b = params[2 * reverse].data, params[2 * reverse + 1].data
+        _, rule = ad._pooled_lstm(xp, sizes, w, b, reverse)
+        g = np.ascontiguousarray(r[order][:, hid * reverse : hid * (reverse + 1)])
+        tracemalloc.start()
+        try:
+            out = rule(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        allowed = sum(a.nbytes for a in out) + len(xp) * (x.shape[1] + hid) * 8 + 8 * n * hid * 8
+        assert peak < allowed, f"BPTT peaked at {peak} bytes, {peak - allowed} past {allowed}"

@@ -173,3 +173,69 @@ def test_summarize_gives_each_metric_its_verdict_and_flags_pairs_whose_steal_dif
     assert summary["steal_flagged_pairs"] == [2, 4]
     assert summary["metrics"]["eval_utt_per_s"]["verdict"] == "gain"
     assert summary["metrics"]["predict_ms_p50"]["verdict"] == "within bound"
+
+
+def test_median_interval_takes_the_order_statistics_that_cover_95_percent():
+    bp = load_script()
+    values = [9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0, 10.0]
+    # Ten values: the 2nd and 9th cover 1 - 2 * 11/1024 = 97.9%; the 3rd and 8th 89%.
+    assert bp.median_interval(values) == (2.0, 9.0)
+    assert bp.median_interval(values[:6]) == (1.0, 9.0)  # 1 - 2/64 = 96.9%
+    assert bp.median_interval(values[:5]) is None  # 1 - 2/32 = 93.8%
+
+
+DRIFTING = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]  # spread 0.45
+
+
+def test_paired_verdict_resolves_a_drift_that_moves_both_sides_alike():
+    bp = load_script()
+    # The machine's speed moves each pair's two runs together, 1% apart either way.
+    change = [p * (0.99 + 0.02 * (i % 2)) for i, p in enumerate(DRIFTING)]
+    assert bp.verdict(DRIFTING, change, "higher", 0.25) == "unresolved"
+    assert bp.paired_verdict(DRIFTING, change, "higher", 0.25) == "within bound"
+    assert bp.paired_verdict(DRIFTING, change, "lower", 0.25) == "within bound"
+    # Every pair won by 15%: a gain by the ratios, still unresolved by the parent's spread.
+    gained = [p * (1.15 + 0.01 * (i % 3)) for i, p in enumerate(DRIFTING)]
+    assert bp.verdict(DRIFTING, gained, "higher", 0.25) == "unresolved"
+    assert bp.paired_verdict(DRIFTING, gained, "higher", 0.25) == "gain"
+    # The same runs of a lower-is-better metric: 15-17% worse, inside the bound.
+    assert bp.paired_verdict(DRIFTING, gained, "lower", 0.25) == "within bound"
+
+
+@pytest.mark.parametrize("parent", [PARENT, DRIFTING], ids=["steady", "drifting"])
+def test_a_real_30_percent_loss_reads_worse_under_both_rules(parent):
+    bp = load_script()
+    slower = [p * 0.7 for p in parent]
+    assert bp.verdict(parent, slower, "higher", 0.25) == "worse"
+    assert bp.paired_verdict(parent, slower, "higher", 0.25) == "worse"
+    longer = [p * 1.3 for p in parent]
+    assert bp.verdict(parent, longer, "lower", 0.2) == "worse"
+    assert bp.paired_verdict(parent, longer, "lower", 0.2) == "worse"
+
+
+def test_paired_verdict_is_unresolved_when_the_ratios_scatter_or_are_too_few():
+    bp = load_script()
+    # The median ratio is 1.0, but the pairs' ratios spread 0.6 past the 0.25 bound.
+    scattered = [p * (0.7 if i % 2 else 1.3) for i, p in enumerate(PARENT)]
+    assert bp.paired_verdict(PARENT, scattered, "higher", 0.25) == "unresolved"
+    # Two pairs of ten 35% worse: quartiles inside the bound, the interval's worse end past it.
+    tailed = [p * r for p, r in zip(PARENT, [0.65, 0.65] + [1.0] * 8)]
+    assert bp.paired_verdict(PARENT, tailed, "higher", 0.25) == "unresolved"
+    # Five pairs give no 95% interval of the median.
+    assert bp.paired_verdict(PARENT[:5], PARENT[:5], "higher", 0.25) == "unresolved"
+    assert bp.paired_verdict(PARENT[:6], PARENT[:6], "higher", 0.25) == "within bound"
+
+
+def test_summarize_gives_the_paired_verdict_and_the_ratios_spread():
+    bp = load_script()
+    runs = []
+    for pair, p in enumerate(DRIFTING, 1):
+        r = 0.99 if pair % 2 else 1.01
+        runs.append(run(pair, "parent", 0, p, p / 2))
+        runs.append(run(pair, "change", 0, p * r, p / 2 * r))
+    rows = bp.summarize(runs, BETTER, BOUNDS)["metrics"]
+    rate, latency = rows["eval_utt_per_s"], rows["predict_ms_p50"]
+    assert rate["verdict"] == latency["verdict"] == "unresolved"
+    assert rate["paired_verdict"] == latency["paired_verdict"] == "within bound"
+    assert rate["ratio_quartiles"] == pytest.approx([0.99, 1.01])
+    assert rate["ratio_interval"] == pytest.approx([0.99, 1.01])

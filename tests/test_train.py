@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -985,6 +986,30 @@ def test_train_allocates_less_than_one_table(trainable, epochs):
         assert result.best.metadata["epoch"] < epochs - 1
     nbytes = table.weights.data.nbytes
     assert peak < nbytes, f"train() peaked at {peak / 2**20:.2f} MB, the table is {nbytes / 2**20:.2f} MB"
+
+
+def test_no_tape_is_alive_while_the_gradients_are_clipped_and_adam_steps(monkeypatch):
+    # A step's tape holds its forward buffers; they are freed before the update.
+    def tapes():
+        return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+
+    seen = []
+
+    def spying(fn):
+        def spy(*args):
+            seen.append((fn.__name__, tapes()))
+            return fn(*args)
+
+        return spy
+
+    for name in ("clip_gradients", "adam_step"):
+        monkeypatch.setattr(tr, name, spying(getattr(tr, name)))
+    ds, val_ds, vocab, cfg, table = held_out_world(0.25, split_seed=0, n_dialogues=4)
+    gc.collect()
+    before = tapes()
+    tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=1, seed=0, grad_clip=1e-3), val_ds)
+    assert {name for name, _ in seen} == {"clip_gradients", "adam_step"}
+    assert all(alive == before for _, alive in seen), seen
 
 
 def test_train_best_checkpoint_tracks_peak_val_uwa():
