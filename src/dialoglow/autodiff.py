@@ -60,13 +60,12 @@ _BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | RowGrad"]]
 
 
 class Tape:
-    """Ordered record of ops; used as ``with Tape() as tape: ...``."""
+    """Ordered record of the ops whose outputs require grad; used as ``with Tape() as tape: ...``."""
 
-    __slots__ = ("_records", "_produced")
+    __slots__ = ("_records",)
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardRule]] = []
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -77,17 +76,16 @@ class Tape:
         return False
 
     def __len__(self) -> int:
+        # perfbench/spans.py reads a step's op count through this (autodiff.tape_ops).
         return len(self._records)
-
-    def _tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._produced
 
 
 _TAPE_STACK: list[Tape] = []
 
 
 def _out(data: np.ndarray, parents: tuple[Tensor, ...], rule: _BackwardRule) -> Tensor:
-    """Wrap an op result, recording it on the active tape when relevant.
+    """Wrap an op result; while a tape is open and a parent requires grad, record
+    the op on the innermost tape and mark the result as requiring grad.
 
     FloatingPointError, naming the op, if the result holds a non-finite value.
     """
@@ -95,10 +93,9 @@ def _out(data: np.ndarray, parents: tuple[Tensor, ...], rule: _BackwardRule) -> 
         # Every op calls _out directly, so the calling frame is the primitive's own.
         raise FloatingPointError(f"{sys._getframe(1).f_code.co_name} produced a non-finite value")
     out = Tensor(data)
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
-    if tape is not None and any(tape._tracks(p) for p in parents):
-        tape._records.append((out, parents, rule))
-        tape._produced.add(id(out))
+    if _TAPE_STACK and any(p.requires_grad for p in parents):
+        _TAPE_STACK[-1]._records.append((out, parents, rule))
+        out.requires_grad = True
     return out
 
 
@@ -572,14 +569,14 @@ def weighted_nll(logits: Tensor, gold: Sequence[int], weights: Sequence[float]) 
 def backward(tape: Tape, loss: Tensor) -> "dict[Tensor, np.ndarray | RowGrad]":
     """Replay ``tape`` in reverse from a scalar loss.
 
-    Returns a map from every gradient-bearing tensor reached to its
+    Returns a map from every tensor reached that requires grad to its
     gradient: an array, or a RowGrad for a matrix read only through
-    ``gather_rows``. Fan-out accumulates additively; leaves without
-    ``requires_grad`` are skipped.
+    ``gather_rows``. An output of an earlier tape is a leaf here. Fan-out
+    accumulates additively; parents that do not require grad are skipped.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
+    if not any(out is loss for out, _, _ in tape._records):
         raise ValueError("backward: loss was not recorded on this tape")
     grads: "dict[Tensor, np.ndarray | RowGrad]" = {loss: np.ones(())}
     for out, parents, rule in reversed(tape._records):
@@ -588,7 +585,7 @@ def backward(tape: Tape, loss: Tensor) -> "dict[Tensor, np.ndarray | RowGrad]":
             continue
         pgrads = rule(np.asarray(g))
         for parent, pg in zip(parents, pgrads):
-            if not tape._tracks(parent):
+            if not parent.requires_grad:
                 continue
             acc = grads.get(parent)
             grads[parent] = pg if acc is None else acc + pg

@@ -28,8 +28,8 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import (
-    CorpusError, Dataset, LABEL_ORDER, Split, corpus_stats, load_dataset, split_train_validation,
-    split_windows,
+    CorpusError, Dataset, LABEL_INDEX, LABEL_ORDER, Split, corpus_stats, load_dataset,
+    split_train_validation, split_windows,
 )
 from .files import read_text, write_atomic
 
@@ -285,6 +285,8 @@ def cmd_train(args) -> int:
         except ValueError as exc:  # no considered label to count
             raise CliError(str(exc))
         tcfg = dataclasses.replace(tcfg, class_weights=weights)
+    if not any(tcfg.class_weights[LABEL_INDEX[u.gold]] for d in ds.dialogues for u in d.utterances):
+        raise CliError("the class weights give every training utterance weight 0: no step would train")
 
     vocab = tr.vocab_from_dataset(ds, min_count=args.min_count)
     if args.embeddings is not None:
@@ -343,8 +345,13 @@ def _load_model(args):
 
 def cmd_eval(args) -> int:
     ckpt, vocab, cfg, params = _load_model(args)
-    ds = load_dataset(_resolve_input(args.data, _data_dir({})), Split.TEST)
-    report = tr.evaluate_dataset(ds, vocab, params, cfg)
+    path = _resolve_input(args.data, _data_dir({}))
+    ds = load_dataset(path, Split.TEST)
+    try:
+        report = tr.evaluate_dataset(ds, vocab, params, cfg)
+    except mx.MetricsError as exc:  # the one way to get here: nothing scored
+        why = "no utterance with a considered label" if ds.dialogues else "no dialogues"
+        raise CliError(f"{path}: zero scored utterances, as it holds {why}") from exc
     print(report.table())
     blob = {**_provenance(ckpt), "report": report.to_json_dict()}
     if args.out:

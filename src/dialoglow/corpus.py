@@ -77,6 +77,7 @@ class Dialogue:
             raise CorpusError(f"dialogue {self.id!r} has no utterances")
 
     def __len__(self) -> int:
+        # Only Dataset.utterance_count calls this.
         return len(self.utterances)
 
 
@@ -91,6 +92,7 @@ class Dataset:
             raise CorpusError(f"duplicate dialogue ids in {self.split.value} split")
 
     def utterance_count(self) -> int:
+        # The benchmark's worker (perfbench/worker.py) counts its trained utterances through this.
         return sum(len(d) for d in self.dialogues)
 
 

@@ -126,6 +126,7 @@ def self_attend(u_mat: Tensor) -> Tensor:
 
     Row i becomes sum_j softmax(scores_i)[j] * row_j, recorded as one op.
     """
+    # A wrapper so that perfbench/spans.py can trace attention as model.self_attend.
     return ad.self_attention(u_mat)
 
 

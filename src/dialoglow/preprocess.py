@@ -197,6 +197,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: "str | Path") -> "Vocab":
+        # The benchmark's worker (perfbench/worker.py) reads vocab.txt through this.
         return cls.from_bytes(Path(path).read_bytes())
 
     @classmethod
@@ -219,6 +220,7 @@ def build_vocab(corpus: Iterable[Iterable[str]], min_count: int = 1) -> Vocab:
 
 
 def vocab_sha256(path: "str | Path") -> str:
+    # The benchmark's worker (perfbench/worker.py) checks vocab.txt's hash through this.
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

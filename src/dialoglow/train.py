@@ -138,10 +138,10 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place on each parameter's C-contiguous array.
 
-    A parameter missing from grads takes the row path with no rows: its
-    moments still decay. The epsilon sits outside the square root. A
-    gradient is an array or an ``ad.RowGrad``. Only the rows that have ever
-    had a gradient are computed, slice by slice, with the textbook float
+    ``grads`` must hold a gradient for every parameter: an array or an
+    ``ad.RowGrad`` (an empty one for no gradient this step). The epsilon
+    sits outside the square root. Only the rows that have ever had a
+    gradient are computed, slice by slice, with the textbook float
     ops in the textbook order, so the result is bit-identical to the dense
     update: a row that never had a gradient would move by exactly 0.0, and
     a moved row without a gradient this step only decays its moments.
@@ -152,9 +152,7 @@ def adam_step(named_params: dict, grads: dict, state: AdamState, lr: float) -> N
     for name, p in named_params.items():
         p2 = _as_rows(p.data)
         width = p2.shape[1]
-        g = grads.get(name)
-        if g is None:
-            g = ad.RowGrad(p.shape, np.zeros(0, dtype=np.intp), np.zeros((0, width)))
+        g = grads[name]
         sparse = isinstance(g, ad.RowGrad)
         if not np.all(np.isfinite(g.rows if sparse else g)):
             raise ValueError(f"non-finite gradient for {name!r}")
@@ -443,13 +441,12 @@ def encode_dataset(ds: Dataset, vocab: Vocab, window_size: int):
     ]
 
 
-# Real tokens per packed encode_sentence call in infer: one batch holds no
-# more memory than one window did when each window was encoded padded. On a
-# full-size ModelConfig with one OpenBLAS thread, over 10 windows of 15
-# Poisson(11)-token utterances, a 384-token batch peaked at 13.5 MB of numpy
-# allocations (tracemalloc) against 13.9 MB for the median padded window, and
-# 512 tokens at 18.1 MB. infer over the 10 windows took 151, 113, 103, 103 and
-# 95 ms with caps of 128, 256, 384, 512 tokens and none.
+# Real tokens per packed encode_sentence call in infer, which bounds its buffers.
+# Full-size ModelConfig, one OpenBLAS thread, 2-core x86-64 VM, 10 windows of 15
+# Poisson(11)-token utterances (1730 tokens): caps of 128, 256, 384, 512 and none
+# peaked at 4.6, 8.2, 12.1, 16.1 and 52.6 MB of numpy allocations (tracemalloc),
+# and infer took 97-124, 66-92, 59-71, 71-73 and 49-64 ms (medians of 7, two runs).
+# Past 384 the peak grows with the cap; even no cap saves at most a fifth of the time.
 INFER_BATCH_TOKENS = 384
 
 
@@ -522,7 +519,7 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
         logits = parts[0] if len(parts) == 1 else ad.concat(parts)
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
-    by_name = {name: grads[t] for name, t in trainable.items() if t in grads}
+    by_name = {name: grads[t] for name, t in trainable.items()}  # every one feeds the loss
     value = float(loss.data)
     # The tape holds the step's forward buffers and grads every op's gradient:
     # free them before clipping and Adam run.

@@ -242,6 +242,20 @@ def test_constant_leaves_get_no_gradient():
     assert c not in grads
 
 
+def test_an_output_of_one_tape_is_a_leaf_under_the_next():
+    x = ad.Tensor([[1.0, -2.0]], requires_grad=True)
+    with ad.Tape():
+        h = ad.relu(x)
+    assert h.requires_grad
+    with ad.Tape() as tape:
+        loss = project(h, [[3.0, 4.0]])
+    assert len(tape) == 1
+    grads = ad.backward(tape, loss)
+    assert np.array_equal(grads[h], [[3.0, 4.0]])
+    assert x not in grads  # the first tape's rule is not replayed
+    assert not ad.relu(x).requires_grad  # no tape open: nothing recorded
+
+
 def test_max_over_time_routes_to_first_argmax():
     # Zero weights make every gate a constant of its bias, and a forget bias
     # of -1000 makes f exactly 0.0: every real step then has the same hidden

@@ -360,6 +360,39 @@ def test_train_inverse_frequency_weights_without_a_considered_label_exit_2(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, weights",
+    [
+        ([[{"speaker": "a", "utterance": "whoa", "emotion": "surprise"}]], []),
+        (None, ["--class-weights", "0,0,0,0,0,0,0,0"]),
+    ],
+    ids=["unweighted-label", "zero-weights"],
+)
+def test_train_with_no_weighted_utterance_exits_2(tmp_path, capsys, doc, weights):
+    # No step would train: the checkpoint would be the untrained model.
+    if doc is None:
+        data = write_corpus(tmp_path)
+    else:
+        data = tmp_path / "odd.json"
+        data.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "x"
+    argv = ["train", str(data), "--out", str(out), "--val-fraction", "0", "--quiet", *weights]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the class weights give every training utterance weight 0: no step would train\n"
+    assert not out.exists()
+
+
+def test_train_with_one_weighted_utterance_trains(tmp_path):
+    doc = [[{"speaker": "a", "utterance": "whoa", "emotion": "surprise"},
+            {"speaker": "b", "utterance": "so glad", "emotion": "joy"}]]
+    data, out = tmp_path / "one.json", tmp_path / "x"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["train", str(data), "--out", str(out), "--val-fraction", "0", "--epochs", "1", "--quiet"]
+    assert cli.main(argv) == 0
+    assert json.loads((out / "history.json").read_text())["history"][0]["train_loss"] > 0.0
+
+
 @pytest.mark.parametrize("flags", [[], ["--val-fraction", "0.5"]], ids=["config", "flag"])
 def test_train_with_an_explicit_val_file_records_nothing_held_out(tmp_path, flags):
     # The config file sets val_fraction 0.25; --val holds nothing out of the training file.
@@ -555,13 +588,15 @@ def test_eval_refuses_mismatched_vocab(tmp_path, capsys):
 
 
 def test_eval_empty_scored_set_is_an_error(tmp_path, capsys):
+    # The error names the file and why nothing in it is scored.
     rc, out = run_train(tmp_path)
     unscored = [[{"speaker": "a", "utterance": "whoa okay", "emotion": "surprise"}]]
-    bad = tmp_path / "unscored.json"
-    bad.write_text(json.dumps(unscored))
-    rc = cli.main(["eval", str(out / "checkpoint.bin"), str(bad)])
-    assert rc == 2
-    assert "zero scored" in capsys.readouterr().err
+    for doc, why in (([], "no dialogues"), (unscored, "no utterance with a considered label")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["eval", str(out / "checkpoint.bin"), str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: zero scored utterances, as it holds {why}\n")
 
 
 @pytest.mark.parametrize(

@@ -250,13 +250,18 @@ def test_adam_zero_gradient_leaves_fresh_params_unchanged():
     assert state.t == 1
 
 
+def no_gradient(p):
+    """An empty RowGrad: no gradient for p this step."""
+    return ad.RowGrad(p.shape, np.zeros(0, dtype=np.intp), np.zeros((0, math.prod(p.shape[1:]))))
+
+
 def test_adam_missing_gradient_still_decays_momentum():
     p = ad.Tensor(0.0, requires_grad=True)
     named = {"w": p}
     state = tr.AdamState(named)
     tr.adam_step(named, {"w": np.asarray(1.0)}, state, lr=0.1)
     moved = float(p.data)
-    tr.adam_step(named, {}, state, lr=0.1)  # no grad this step
+    tr.adam_step(named, {"w": no_gradient(p)}, state, lr=0.1)  # no grad this step
     assert state.t == 2
     assert float(p.data) != moved  # momentum keeps pushing
 
@@ -307,11 +312,12 @@ def test_adam_steps_equal_the_textbook_expressions_bit_for_bit():
     for t in range(1, 5):
         lr = tr.learning_rate(0.01, 0.99, t)
         grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
-        if t == 3:
-            del grads["b"]  # no gradient this step: its moments still decay
+        dense = dict(grads)
+        if t == 3:  # no gradient for b this step: its moments still decay
+            grads["b"], dense["b"] = no_gradient(named["b"]), np.zeros(shapes["b"])
         tr.adam_step(named, grads, state, lr)
-        for k, sh in shapes.items():
-            want[k] = textbook_adam(*want[k], grads.get(k, np.zeros(sh)), t, lr)
+        for k in shapes:
+            want[k] = textbook_adam(*want[k], dense[k], t, lr)
             assert np.array_equal(named[k].data, want[k][0]), (k, t)
             assert_moments_are_the_dense_ones_on_moved_rows(state, k, *want[k][1:], t)
     assert state.t == 4
@@ -361,8 +367,9 @@ def test_adam_step_keeps_the_textbook_bits_through_zeros_and_subnormals(data):
         for _ in range(data.draw(st.integers(1, 40)) if kind == "idle" else 1):
             t += 1
             lr = tr.learning_rate(0.01, 0.99, t)
-            tr.adam_step(named, {} if step_g is None else {"e": step_g}, state, lr)
-            dense = np.zeros((n, width)) if step_g is None else np.asarray(step_g, dtype=np.float64)
+            step_g = no_gradient(named["e"]) if step_g is None else step_g
+            tr.adam_step(named, {"e": step_g}, state, lr)
+            dense = np.asarray(step_g, dtype=np.float64)
             p, m, v = textbook_adam(p, m, v, dense, t, lr)
             assert same_bits(named["e"].data, p), (kind, t)
             assert_moments_are_the_dense_ones_on_moved_rows(state, "e", m, v, (kind, t))
@@ -398,6 +405,7 @@ def test_row_gradient_adam_equals_dense_adam():
             sides.append((named, tr.AdamState(named)))
         for t, ids in enumerate(steps):
             grads = {"w": rng.normal(size=4)}
+            grads["embedding"] = no_gradient(sides[0][0]["embedding"])
             if ids is not None:
                 ids = np.concatenate(ids)
                 probe = ad.Tensor(np.zeros(shape), requires_grad=True)
@@ -986,6 +994,58 @@ def test_train_allocates_less_than_one_table(trainable, epochs):
         assert result.best.metadata["epoch"] < epochs - 1
     nbytes = table.weights.data.nbytes
     assert peak < nbytes, f"train() peaked at {peak / 2**20:.2f} MB, the table is {nbytes / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "variant, trainable, ops",
+    [("sa-bilstm", True, 12), ("bilstm", True, 10), ("sa-bilstm", False, 11), ("bilstm", False, 9)],
+)
+def test_one_step_tapes_one_op_per_layer_and_none_for_a_frozen_lookup(monkeypatch, variant, trainable, ops):
+    # At ModelConfig()'s sizes: the lookup, the BiLSTM, attention and its dropout
+    # (sa-bilstm), three ops per hidden layer, the output layer and the loss.
+    ds = synthetic.build(n_dialogues=1, seed=0)
+    vocab = tr.vocab_from_dataset(ds)
+    cfg = m.ModelConfig(variant=variant)
+    table = emb.random_table(vocab, cfg.embed_dim, seed=0, trainable=trainable)
+    params = m.ModelParams.init(cfg, table, seed=0)
+    trainable_tensors = params.trainable_tensors()
+    backward, seen = ad.backward, []
+
+    def spy(tape, loss):
+        grads = backward(tape, loss)
+        seen.append((len(tape), table.weights in grads))
+        return grads
+
+    monkeypatch.setattr(ad, "backward", spy)
+    windows = tr.encode_dataset(ds, vocab, cfg.window_size)[0][:1]
+    cw = np.asarray(tr.TrainConfig().class_weights)
+    dropout = (0.3, ad.seeded_rng(0, stream=2))
+    state = tr.AdamState(trainable_tensors)
+    assert tr._optimize_step(windows, params, cfg, trainable_tensors, state, 1e-3, cw, dropout, None) is not None
+    assert seen == [(ops, trainable)]
+
+
+@pytest.mark.parametrize(
+    "variant, trainable, fc_dims",
+    [("sa-bilstm", True, (8,)), ("bilstm", True, (8,)), ("sa-bilstm", False, (8,)),
+     ("bilstm", False, (8,)), ("sa-bilstm", True, ()), ("bilstm", True, ())],
+)
+def test_every_step_gives_every_trainable_tensor_a_gradient(monkeypatch, variant, trainable, fc_dims):
+    # adam_step reads a gradient for every parameter it is given.
+    ds, vocab, cfg, _ = tiny_world(variant=variant, fc_dims=fc_dims)
+    table = emb.random_table(vocab, cfg.embed_dim, seed=50, trainable=trainable)
+    adam_step, steps = tr.adam_step, []
+
+    def spy(named, grads, state, lr):
+        steps.append((list(named), list(grads)))
+        adam_step(named, grads, state, lr)
+
+    monkeypatch.setattr(tr, "adam_step", spy)
+    tr.train(ds, vocab, table, cfg, tr.TrainConfig(epochs=2, batch_size=4, seed=0), ds)
+    assert len(steps) > 2
+    for named, grads in steps:
+        assert ("embedding" in named) == trainable
+        assert grads == named
 
 
 def test_no_tape_is_alive_while_the_gradients_are_clipped_and_adam_steps(monkeypatch):
