@@ -11,6 +11,7 @@ import argparse
 import time
 
 from dialoglow import embeddings as emb
+from dialoglow import metrics as mx
 from dialoglow import model as m
 from dialoglow import synthetic
 from dialoglow import train as tr
@@ -55,7 +56,7 @@ def main(argv=None):
         if row["epoch"] % 5 == 0 or row["epoch"] == args.epochs - 1:
             print(
                 f"epoch {row['epoch']:>3}  loss {row['train_loss']:.4f}  "
-                f"WA {100 * row['val_wa']:.1f}  UWA {100 * row['val_uwa']:.1f}"
+                f"WA {mx.pct(row['val_wa'])}  UWA {mx.pct(row['val_uwa'])}"
             )
 
     result = tr.train(ds, vocab, table, cfg, tcfg, val_ds=ds, on_epoch=show)

@@ -3,8 +3,8 @@
 Only the operations the dialogue model records are provided. Two are whole
 layers: ``bilstm_max`` takes utterances' token vectors back to back, packs them
 step by step with the rows sorted longest first, runs both LSTM directions
-over them and max-pools them; ``self_attention`` mixes a window's rows by
-scaled dot-product weights. Every op runs on plain numpy arrays; while a
+over them and max-pools them; ``self_attention`` mixes the rows of each
+window by scaled dot-product weights. Every op runs on plain numpy arrays; while a
 tape is open, ops that touch a gradient-bearing tensor append a backward rule
 to it, and ``backward`` replays the tape in reverse. Creation order is already
 topological, so no sorting is needed and every rule fires at most once;
@@ -131,23 +131,12 @@ def relu(a: Tensor) -> Tensor:
 # structural primitives
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors of one rank along their first axis."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("concat: need at least one tensor")
-    if parts[0].ndim == 0 or any(p.ndim != parts[0].ndim for p in parts):
-        raise ValueError(f"concat: need tensors of one rank >= 1, got {[p.shape for p in parts]}")
-    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
-    return _out(np.concatenate([p.data for p in parts]), parts, lambda g: np.split(g, splits))
-
-
 class RowGrad:
     """Gradient of a matrix that is zero outside a few rows.
 
     ``ids`` are sorted, unique row ids and ``rows[i]`` is the gradient of row
-    ``ids[i]``. ``np.asarray`` gives the dense matrix. Adding two RowGrads
-    merges them row by row; multiplying by a scalar scales the rows.
+    ``ids[i]``. ``np.asarray`` gives the dense matrix; multiplying by a scalar
+    scales the rows. Two RowGrads do not add (see ``backward``).
     """
 
     __slots__ = ("shape", "ids", "rows")
@@ -159,13 +148,6 @@ class RowGrad:
         out = np.zeros(self.shape, dtype=dtype)
         out[self.ids] = self.rows
         return out
-
-    def __add__(self, other: "RowGrad") -> "RowGrad":
-        ids = np.union1d(self.ids, other.ids)
-        rows = np.zeros((len(ids), self.shape[1]))
-        rows[np.searchsorted(ids, self.ids)] = self.rows
-        rows[np.searchsorted(ids, other.ids)] += other.rows
-        return RowGrad(self.shape, ids, rows)
 
     def __mul__(self, c: float) -> "RowGrad":
         return RowGrad(self.shape, self.ids, self.rows * c)
@@ -488,24 +470,35 @@ def attention_weights(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def self_attention(u: Tensor) -> Tensor:
-    """``p @ u`` with ``p = attention_weights(attention_scores(u))``: each row mixes all rows.
+def self_attention(u: Tensor, bounds: Sequence[int]) -> Tensor:
+    """``p @ x`` with ``p = attention_weights(attention_scores(x))`` for each window
+    ``x = u[bounds[j]:bounds[j + 1]]``; ``bounds`` rises strictly from 0 to ``len(u)``.
 
-    Forward and rule take the float steps of the transpose, matmul, scale,
-    softmax, matmul op chain in its order, so both equal its results bit for bit.
+    Per window, forward and rule take the float steps of the transpose, matmul,
+    scale, softmax, matmul op chain in its order, so both equal its results bit for bit.
     """
     _require_shape("self_attention", u.shape, 2)
     ud = u.data
-    p = attention_weights(attention_scores(ud))
+    spans = list(zip(bounds, bounds[1:]))
+    if len(bounds) == 0 or bounds[0] != 0 or bounds[-1] != len(ud) or any(a >= b for a, b in spans):
+        raise ValueError(f"self_attention: bounds must rise from 0 to {len(ud)}, got {bounds!r}")
+    windows = [(lo, hi, attention_weights(attention_scores(ud[lo:hi]))) for lo, hi in spans]
+    out = np.empty(ud.shape)
+    for lo, hi, p in windows:
+        out[lo:hi] = p @ ud[lo:hi]
 
     def rule(g):
-        dp = g @ ud.T
-        ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * (1.0 / np.sqrt(ud.shape[1]))
-        # backward() sums the chain's gradients of u in this order, the last as
-        # (ud.T @ ds).T; ds.T @ ud is another BLAS call, not bound to round alike.
-        return (p.T @ g + ds @ ud + (ud.T @ ds).T,)
+        du = np.empty(ud.shape)
+        for lo, hi, p in windows:
+            x, gx = ud[lo:hi], g[lo:hi]
+            dp = gx @ x.T
+            ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * (1.0 / np.sqrt(x.shape[1]))
+            # backward() sums the chain's gradients of x in this order, the last as
+            # (x.T @ ds).T; ds.T @ x is another BLAS call, not bound to round alike.
+            du[lo:hi] = p.T @ gx + ds @ x + (x.T @ ds).T
+        return (du,)
 
-    return _out(p @ ud, (u,), rule)
+    return _out(out, (u,), rule)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -570,9 +563,9 @@ def backward(tape: Tape, loss: Tensor) -> "dict[Tensor, np.ndarray | RowGrad]":
     """Replay ``tape`` in reverse from a scalar loss.
 
     Returns a map from every tensor reached that requires grad to its
-    gradient: an array, or a RowGrad for a matrix read only through
-    ``gather_rows``. An output of an earlier tape is a leaf here. Fan-out
-    accumulates additively; parents that do not require grad are skipped.
+    gradient: an array, or a RowGrad for a matrix read only through one
+    ``gather_rows`` (two RowGrads do not add). An output of an earlier tape is
+    a leaf here. Fan-out accumulates additively; parents not requiring grad are skipped.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")

@@ -28,8 +28,8 @@ from . import model as m
 from . import preprocess as pp
 from . import train as tr
 from .corpus import (
-    CorpusError, Dataset, LABEL_INDEX, LABEL_ORDER, Split, corpus_stats, load_dataset,
-    split_train_validation, split_windows,
+    CONSIDERED_LABELS, CorpusError, Dataset, LABEL_INDEX, LABEL_ORDER, Split, corpus_stats,
+    load_dataset, split_train_validation, split_windows,
 )
 from .files import read_text, write_atomic
 
@@ -287,6 +287,9 @@ def cmd_train(args) -> int:
         tcfg = dataclasses.replace(tcfg, class_weights=weights)
     if not any(tcfg.class_weights[LABEL_INDEX[u.gold]] for d in ds.dialogues for u in d.utterances):
         raise CliError("the class weights give every training utterance weight 0: no step would train")
+    if not any(u.gold in CONSIDERED_LABELS for d in val_ds.dialogues for u in d.utterances):
+        scored = "held-out validation split" if args.val is None else f"validation set {args.val}"
+        raise CliError(f"the {scored} holds no utterance with a considered label: no epoch would be selected")
 
     vocab = tr.vocab_from_dataset(ds, min_count=args.min_count)
     if args.embeddings is not None:

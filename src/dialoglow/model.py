@@ -7,8 +7,8 @@ encoded by one embedding lookup of their token ids back to back and one op,
 ``autodiff.bilstm_max``, which packs those tokens, runs both directions over
 them and pools them; an utterance's vector does not depend on the batch it is
 encoded in. The "sa-bilstm" variant then lets
-every utterance in a window attend over all the others with scaled
-dot-product weights, one ``autodiff.self_attention`` op, before a shared
+every utterance in a window attend over all the others with scaled dot-product
+weights, one ``autodiff.self_attention`` op for all windows, before a shared
 fully-connected stack scores the labels; the "bilstm" variant skips straight
 to the classifier. ``head`` is that part after the encoder.
 """
@@ -121,13 +121,13 @@ def encode_sentence(token_ids: Sequence[Sequence[int]], params: ModelParams) -> 
     return ad.bilstm_max(x, [len(ids) for ids in token_ids], *lstm)
 
 
-def self_attend(u_mat: Tensor) -> Tensor:
-    """Replace each row with its attention-weighted mixture of all the rows.
+def self_attend(u_mat: Tensor, bounds: Sequence[int]) -> Tensor:
+    """Replace each row with its attention-weighted mixture of the rows of its window.
 
-    Row i becomes sum_j softmax(scores_i)[j] * row_j, recorded as one op.
+    Window j is rows bounds[j]:bounds[j + 1]; its row i becomes sum_k softmax(scores_i)[k] * row_k.
     """
     # A wrapper so that perfbench/spans.py can trace attention as model.self_attend.
-    return ad.self_attention(u_mat)
+    return ad.self_attention(u_mat, bounds)
 
 
 def classify(x: Tensor, params: ModelParams, dropout: "Dropout | None" = None) -> Tensor:
@@ -154,11 +154,13 @@ def check_window(token_ids: Sequence[Sequence[int]], cfg: ModelConfig) -> None:
 
 
 def head(
-    u_mat: Tensor, params: ModelParams, cfg: ModelConfig, dropout: "Dropout | None" = None
+    u_mat: Tensor, bounds: Sequence[int], params: ModelParams, cfg: ModelConfig,
+    dropout: "Dropout | None" = None,
 ) -> Tensor:
-    """Logits of one window's sentence vectors: attention for "sa-bilstm", then the FC stack."""
+    """Logits of sentence vectors: for "sa-bilstm", attention within each window,
+    rows bounds[j]:bounds[j + 1]; then the FC stack on every row."""
     if cfg.variant == "sa-bilstm":
-        u_mat = self_attend(u_mat)
+        u_mat = self_attend(u_mat, bounds)
         if dropout is not None:
             u_mat = ad.dropout(u_mat, *dropout)
     return classify(u_mat, params, dropout)
@@ -169,4 +171,4 @@ def forward_window(
 ) -> Tensor:
     """Inference logits for the utterances of one window, shape (n, len(LABEL_ORDER))."""
     check_window(token_ids, cfg)
-    return head(encode_sentence(token_ids, params), params, cfg)
+    return head(encode_sentence(token_ids, params), [0, len(token_ids)], params, cfg)

@@ -471,8 +471,8 @@ def infer(windows, params, cfg) -> np.ndarray:
 
     The utterances of all windows are encoded together, in packed batches of
     at most INFER_BATCH_TOKENS tokens (an utterance's vector does not depend
-    on its batch). Each window's vectors then go through ``model.head``, as
-    in ``model.forward_window``.
+    on its batch). One ``model.head`` call then scores them all, attention
+    mixing only the rows of a window, as in ``model.forward_window``.
     """
     for ids_list in windows:
         m.check_window(ids_list, cfg)
@@ -481,8 +481,7 @@ def infer(windows, params, cfg) -> np.ndarray:
     for batch in _token_batches([len(ids) for ids in utts], INFER_BATCH_TOKENS):
         u[batch] = m.encode_sentence([utts[i] for i in batch], params).data
     bounds = np.cumsum([0] + [len(ids_list) for ids_list in windows])
-    parts = [m.head(ad.Tensor(u[lo:hi]), params, cfg).data for lo, hi in zip(bounds, bounds[1:])]
-    return np.concatenate(parts) if parts else np.zeros((0, len(LABEL_ORDER)))
+    return m.head(ad.Tensor(u), bounds, params, cfg).data
 
 
 def _scoring_windows(by_dialogue):
@@ -512,18 +511,17 @@ def _optimize_step(windows, params, cfg, trainable, state, lr, cw, dropout, grad
     golds = [g for _, gs in windows for g in gs]
     if float(np.sum(cw[golds])) == 0.0:
         return None
+    ids = [i for ids_list, _ in windows for i in ids_list]
+    bounds = np.cumsum([0] + [len(gs) for _, gs in windows])
     with ad.Tape() as tape:
-        parts = [
-            m.head(m.encode_sentence(ids, params), params, cfg, dropout) for ids, _ in windows
-        ]
-        logits = parts[0] if len(parts) == 1 else ad.concat(parts)
+        logits = m.head(m.encode_sentence(ids, params), bounds, params, cfg, dropout)
         loss = weighted_cross_entropy(logits, golds, cw)
         grads = ad.backward(tape, loss)
     by_name = {name: grads[t] for name, t in trainable.items()}  # every one feeds the loss
     value = float(loss.data)
     # The tape holds the step's forward buffers and grads every op's gradient:
     # free them before clipping and Adam run.
-    del tape, parts, logits, loss, grads
+    del tape, logits, loss, grads
     if grad_clip is not None:
         clip_gradients(by_name, grad_clip)
     adam_step(trainable, by_name, state, lr)
@@ -572,7 +570,7 @@ def train(
             best_tensors = {k: a.copy() if k in trainable else a for k, a in arrays.items()}
         lr = learning_rate(tcfg.lr0, tcfg.decay, epoch)
         if mcfg.variant == "sa-bilstm":
-            # One dialogue per step: all its windows share a single loss.
+            # One dialogue per step: its windows share one loss and each layer's dropout mask.
             steps = [by_dialogue[di] for di in shuffle_rng.permutation(len(by_dialogue))]
         else:
             # Flat utterance batches; rows are independent for this variant,

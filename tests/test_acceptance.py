@@ -45,10 +45,10 @@ def test_criterion_2_attention_unit_suite():
     rng = np.random.default_rng(0)
 
     one = ad.Tensor(rng.normal(size=(1, 6)))
-    assert np.array_equal(m.self_attend(one).data, one.data)
+    assert np.array_equal(m.self_attend(one, [0, 1]).data, one.data)
 
     same = ad.Tensor(np.tile(rng.normal(size=4), (5, 1)))
-    assert np.allclose(m.self_attend(same).data, same.data, atol=1e-12)
+    assert np.allclose(m.self_attend(same, [0, 5]).data, same.data, atol=1e-12)
 
     u = rng.normal(size=(6, 8))
     scores = ad.attention_scores(u)

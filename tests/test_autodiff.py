@@ -63,16 +63,6 @@ def _case_relu(rng):
     return [a], lambda: ad.relu(a)
 
 
-def _case_concat0(rng):
-    a, b = rand(rng, 2, 3), rand(rng, 4, 3)
-    return [a, b], lambda: ad.concat([a, b])
-
-
-def _case_concat1(rng):
-    a, b = rand(rng, 3), rand(rng, 5)
-    return [a, b], lambda: ad.concat([a, b])
-
-
 def _case_gather(rng):
     a = rand(rng, 5, 3)
     return [a], lambda: ad.gather_rows(a, [1, 3, 1, 4])
@@ -108,7 +98,14 @@ def _case_bilstm_max(rng):
 def _case_self_attention(rng):
     # 1-4 rows: a one-row window is the identity, with weight exactly 1.
     a = rand(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-    return [a], lambda: ad.self_attention(a)
+    return [a], lambda: ad.self_attention(a, [0, len(a.data)])
+
+
+def _case_self_attention_windows(rng):
+    # Two windows of 1-3 rows: a row mixes only the rows of its own window.
+    n1, n2 = (int(k) for k in rng.integers(1, 4, size=2))
+    a = rand(rng, n1 + n2, int(rng.integers(1, 6)))
+    return [a], lambda: ad.self_attention(a, [0, n1, n1 + n2])
 
 
 def _case_dropout_train(rng):
@@ -129,11 +126,10 @@ def _case_weighted_nll(rng):
 PRIMITIVE_CASES = [
     _case_affine2,
     _case_relu,
-    _case_concat0,
-    _case_concat1,
     _case_gather,
     _case_bilstm_max,
     _case_self_attention,
+    _case_self_attention_windows,
     _case_dropout_train,
     _case_weighted_nll,
 ]
@@ -182,12 +178,37 @@ def test_self_attention_equals_the_composed_chain_bit_for_bit(width):
         u = ad.Tensor(rng.uniform(-1.0, 1.0, size=(n, width)), requires_grad=True)
         g = rng.normal(size=(n, width))
         with ad.Tape() as tape:
-            out = ad.self_attention(u)
+            out = ad.self_attention(u, [0, n])
             loss = project(out, g)
         assert len(tape) == 2  # the op and the projection
         want_out, want_du = composed_self_attention(u.data, g)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(ad.backward(tape, loss)[u], want_du)
+    # Windows cut at random: one op equals the op run on each window alone.
+    for n in range(2, 26):
+        cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, min(n - 1, 4) + 1)), replace=False)
+        bounds = [0, *sorted(cuts.tolist()), n]
+        u = ad.Tensor(rng.uniform(-1.0, 1.0, size=(n, width)), requires_grad=True)
+        g = rng.normal(size=(n, width))
+        with ad.Tape() as tape:
+            out = ad.self_attention(u, bounds)
+            loss = project(out, g)
+        assert len(tape) == 2
+        du = ad.backward(tape, loss)[u]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = ad.Tensor(u.data[lo:hi].copy(), requires_grad=True)
+            with ad.Tape() as tape:
+                want = ad.self_attention(part, [0, hi - lo])
+                loss = project(want, g[lo:hi])
+            assert np.array_equal(out.data[lo:hi], want.data)
+            assert np.array_equal(du[lo:hi], ad.backward(tape, loss)[part])
+    assert ad.self_attention(ad.Tensor(np.zeros((0, width))), [0]).shape == (0, width)
+
+
+@pytest.mark.parametrize("bounds", [[], [1, 3], [0, 2], [0, 2, 2, 3], [0, 4], [0, 2, 1, 3]])
+def test_self_attention_takes_only_bounds_rising_from_0_to_the_row_count(bounds):
+    with pytest.raises(ValueError, match="bounds must rise from 0 to 3"):
+        ad.self_attention(ad.Tensor(np.zeros((3, 2))), bounds)
 
 
 def test_tensor_is_float64_and_scalar_item():
@@ -222,24 +243,24 @@ def test_backward_requires_scalar_loss_on_tape():
 def test_fanout_gradients_accumulate():
     x = ad.Tensor([[-2.0]], requires_grad=True)
     zero = ad.Tensor([0.0])
-    square = lambda: ad.affine(x, x, zero)  # x is the input and the weight: x**2
+    square = lambda y: ad.affine(y, y, zero)  # y is the input and the weight: y**2
     with ad.Tape() as tape:
-        s = square()
-        loss = project(ad.concat([s, s]), np.ones((2, 1)))
+        s = square(x)
+        loss = project(square(s), np.ones((1, 1)))  # s fans out to both inputs: x**4
     grads = ad.backward(tape, loss)
-    assert np.allclose(grads[x], 4.0 * x.data, atol=1e-12)
-    want = fd_grad(lambda: project(ad.concat([square(), square()]), np.ones((2, 1))), x)
+    assert np.allclose(grads[x], 4.0 * x.data**3, atol=1e-12)
+    want = fd_grad(lambda: project(square(square(x)), np.ones((1, 1))), x)
     assert rel_err(grads[x], want) < 1e-6
 
 
 def test_constant_leaves_get_no_gradient():
-    x = ad.Tensor([1.0, 2.0], requires_grad=True)
-    c = ad.Tensor([3.0, 4.0])
+    x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+    c, zero = ad.Tensor([[3.0], [4.0]]), ad.Tensor([0.0])
     with ad.Tape() as tape:
-        loss = project(ad.concat([x, c]), [1.0, 2.0, 3.0, 4.0])
+        loss = project(ad.affine(x, c, zero), [[1.0]])
     grads = ad.backward(tape, loss)
-    assert x in grads
-    assert c not in grads
+    assert np.array_equal(grads[x], [[3.0, 4.0]])
+    assert c not in grads and zero not in grads
 
 
 def test_an_output_of_one_tape_is_a_leaf_under_the_next():
@@ -398,7 +419,7 @@ def test_grad_check_accepts_smooth_function():
     x = ad.Tensor(rng.normal(size=(3, 2)))
     r = rng.normal(size=(3, 2))
     zero = ad.Tensor(np.zeros(2))
-    f = lambda: project(ad.self_attention(ad.affine(w, x, zero)), r)
+    f = lambda: project(ad.self_attention(ad.affine(w, x, zero), [0, 3]), r)
     assert ad.grad_check(f, [w]) < 1e-6
 
 
@@ -456,33 +477,25 @@ def test_gather_rows_takes_only_a_non_empty_1d_index_array(ids):
         ad.gather_rows(ad.Tensor(np.zeros((4, 3))), ids)
 
 
-def test_gather_rows_gradient_over_two_lookups_equals_a_dense_scatter_add():
+def test_gather_rows_gradient_equals_a_dense_scatter_add():
     rng = np.random.default_rng(4)
     table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    ids1, ids2 = np.array([[1, 3, 1], [0, 5, 3]]), np.array([4, 1, 1, 0])
-    r1, r2 = rng.normal(size=(2, 3, 3)), rng.normal(size=(4, 3))
+    ids, r = np.array([1, 3, 1, 0, 5, 3, 4, 1]), rng.normal(size=(8, 3))
     with ad.Tape() as tape:
-        a = ad.gather_rows(table, ids1.reshape(-1))
-        b = ad.gather_rows(table, ids2)
-        loss = project(ad.concat([a, b]), np.concatenate([r1.reshape(-1, 3), r2]))
+        loss = project(ad.gather_rows(table, ids), r)
     got = ad.backward(tape, loss)[table]
     assert isinstance(got, ad.RowGrad)
     assert got.ids.tolist() == [0, 1, 3, 4, 5]  # sorted, distinct
-    # Oracle: the dense scatter-add per lookup, summed in backward's order
-    # (the later lookup's gradient arrives first).
-    dense = []
-    for ids, r in ((ids1, r1), (ids2, r2)):
-        d = np.zeros((6, 3))
-        np.add.at(d, ids, r)
-        dense.append(d)
-    assert np.array_equal(np.asarray(got), dense[1] + dense[0])
+    dense = np.zeros((6, 3))
+    np.add.at(dense, ids, r)  # each row sums its occurrences in index order
+    assert np.array_equal(np.asarray(got), dense)
 
 
 def test_finite_check_names_the_op():
     u = ad.Tensor([[np.inf, 0.0], [1.0, 2.0]])  # row 0 scores inf twice; inf - inf is NaN
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError, match="^self_attention produced a non-finite value"):
-            ad.self_attention(u)
+            ad.self_attention(u, [0, 2])
         # The encoder is one op: a NaN anywhere in a row's input makes its vector NaN.
         x = np.zeros((5, 2))
         x[3, 1] = np.nan  # the first step of the second row

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from dialoglow import __version__, cli, synthetic
 from dialoglow import preprocess as pp
 from dialoglow import train as tr
-from dialoglow.corpus import LABEL_ORDER, Dataset, Dialogue, EmotionLabel, Split, Utterance
+from dialoglow.corpus import (
+    LABEL_ORDER, Dataset, Dialogue, EmotionLabel, Split, Utterance, split_train_validation,
+)
 from helpers import serialize_dataset
 
 CONFIG = """\
@@ -391,6 +393,32 @@ def test_train_with_one_weighted_utterance_trains(tmp_path):
     argv = ["train", str(data), "--out", str(out), "--val-fraction", "0", "--epochs", "1", "--quiet"]
     assert cli.main(argv) == 0
     assert json.loads((out / "history.json").read_text())["history"][0]["train_loss"] > 0.0
+
+
+def surprise_only(doc):
+    return [[{**u, "emotion": "surprise"} for u in dlg] for dlg in doc]
+
+
+@pytest.mark.parametrize("case", ["val", "split"])
+def test_train_with_no_considered_label_to_score_exits_2(tmp_path, capsys, case):
+    # Every epoch would score UWA None, so no epoch would ever be selected.
+    ds = synthetic.build(n_dialogues=4, seed=0)
+    doc = serialize_dataset(ds)
+    data, out, odd = tmp_path / "train.json", tmp_path / "x", tmp_path / "odd.json"
+    if case == "val":
+        odd.write_text(json.dumps(surprise_only(doc[:1])), encoding="utf-8")
+        flags, scored = ["--val", str(odd)], f"validation set {odd}"
+    else:
+        # The split depends on the dialogue count and the seed only: relabel what it holds out.
+        held = {d.id for d in split_train_validation(ds, 0.25, 0)[1].dialogues}
+        doc = [surprise_only([dlg])[0] if d.id in held else dlg for d, dlg in zip(ds.dialogues, doc)]
+        flags, scored = ["--val-fraction", "0.25", "--seed", "0"], "held-out validation split"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["train", str(data), "--out", str(out), "--epochs", "1", "--quiet", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the {scored} holds no utterance with a considered label: no epoch would be selected\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--val-fraction", "0.5"]], ids=["config", "flag"])

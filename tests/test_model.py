@@ -174,21 +174,21 @@ def test_attention_scores_symmetric_and_quadratic_in_scale():
 def test_self_attend_single_utterance_is_identity():
     rng = np.random.default_rng(1)
     u = ad.Tensor(rng.normal(size=(1, 6)))
-    out = m.self_attend(u)
+    out = m.self_attend(u, [0, 1])
     assert np.array_equal(out.data, u.data)
 
 
 def test_self_attend_records_one_op():
     u = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)), requires_grad=True)
     with ad.Tape() as tape:
-        m.self_attend(u)
+        m.self_attend(u, [0, 3])
     assert len(tape) == 1
 
 
 def test_self_attend_identical_rows_are_fixed_point():
     row = np.array([0.3, -1.2, 0.7, 2.0])
     u = ad.Tensor(np.tile(row, (5, 1)))
-    out = m.self_attend(u)
+    out = m.self_attend(u, [0, 5])
     assert np.allclose(out.data, u.data, atol=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_self_attend_hand_derived_two_by_two():
     f = ad.attention_scores(u.data)
     root2 = math.sqrt(2.0)
     assert np.allclose(f, np.array([[4.0, 0.0], [0.0, 1.0]]) / root2, atol=1e-15)
-    out = m.self_attend(u).data
+    out = m.self_attend(u, [0, 2]).data
     alpha = math.exp(4.0 / root2) / (math.exp(4.0 / root2) + 1.0)
     assert np.allclose(out[0], [2.0 * alpha, 1.0 - alpha], atol=1e-12)
     assert np.allclose(out[0], [1.8886, 0.0557], atol=1e-3)
@@ -230,7 +230,7 @@ def forward_padded(ids, params, cfg, steps, dropout=None):
     lstm = [params.tensors[f"lstm_{d}.{p}"].data for d in ("fwd", "bwd") for p in "wb"]
     no_grad = np.zeros((len(ids), cfg.sentence_dim))
     u, _ = padded_lstm.bilstm_max(x, [len(row) for row in ids], lstm, no_grad)
-    return m.head(ad.Tensor(u), params, cfg, dropout)
+    return m.head(ad.Tensor(u), [0, len(ids)], params, cfg, dropout)
 
 
 def test_forward_window_padding_invariance_bit_exact():
@@ -242,7 +242,7 @@ def test_forward_window_padding_invariance_bit_exact():
     assert np.array_equal(plain.data, forward_padded(ids, params, cfg, 25).data)
     # Same seeds make even training-mode dropout line up.
     dropout = lambda: (0.3, ad.seeded_rng(4))
-    t1 = m.head(m.encode_sentence(ids, params), params, cfg, dropout())
+    t1 = m.head(m.encode_sentence(ids, params), [0, 3], params, cfg, dropout())
     t2 = forward_padded(ids, params, cfg, 25, dropout())
     assert np.array_equal(t1.data, t2.data)
     assert not np.array_equal(t1.data, plain.data)

@@ -29,6 +29,7 @@ from dialoglow import synthetic
 from dialoglow import train as tr
 from dialoglow.corpus import LABEL_INDEX, Dataset, Dialogue, EmotionLabel, split_train_validation, split_windows
 from helpers import project, serialize_dataset
+from per_window_step import per_window_step
 import whole_file_checkpoint
 
 
@@ -1023,6 +1024,74 @@ def test_one_step_tapes_one_op_per_layer_and_none_for_a_frozen_lookup(monkeypatc
     state = tr.AdamState(trainable_tensors)
     assert tr._optimize_step(windows, params, cfg, trainable_tensors, state, 1e-3, cw, dropout, None) is not None
     assert seen == [(ops, trainable)]
+
+
+def six_utterance_step(window_size, **cfg_over):
+    """(windows, params, cfg) of tiny_world's 6-utterance dialogue cut into windows of window_size."""
+    ds, vocab, cfg, table = tiny_world(window_size=window_size, **cfg_over)
+    dialogue = next(i for i, d in enumerate(ds.dialogues) if len(d.utterances) == 6)
+    windows = tr.encode_dataset(ds, vocab, window_size)[dialogue]
+    return windows, m.ModelParams.init(cfg, table, seed=1), cfg
+
+
+def step_gradients(monkeypatch, windows, params, cfg, dropout):
+    """(loss, {name: dense gradient}) of one ``_optimize_step``, caught before Adam runs."""
+    caught = {}
+    monkeypatch.setattr(tr, "adam_step", lambda named, grads, state, lr: caught.update(grads))
+    trainable = params.trainable_tensors()
+    cw = np.asarray(tr.TrainConfig().class_weights)
+    state = tr.AdamState(trainable)
+    loss = tr._optimize_step(windows, params, cfg, trainable, state, 1e-3, cw, dropout, None)
+    return loss, {k: np.asarray(g) for k, g in caught.items()}
+
+
+@pytest.mark.parametrize("variant", ["sa-bilstm", "bilstm"])
+@pytest.mark.parametrize("window_size", [1, 2, 4, 5])
+def test_a_step_over_many_windows_matches_the_per_window_oracle(monkeypatch, variant, window_size):
+    # No dropout: the oracle draws masks per window. The table's gradient sums
+    # its windows' lookups in another order, so agreement is to rounding.
+    windows, params, cfg = six_utterance_step(window_size, variant=variant)
+    assert len(windows) > 1
+    cw = np.asarray(tr.TrainConfig().class_weights)
+    want_loss, want = per_window_step(windows, params, cfg, cw, (0.0, ad.seeded_rng(0, stream=2)))
+    loss, got = step_gradients(monkeypatch, windows, params, cfg, (0.0, ad.seeded_rng(0, stream=2)))
+    assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-10 * np.max(np.abs(want[name])), name
+
+
+@pytest.mark.parametrize("variant", ["sa-bilstm", "bilstm"])
+def test_a_one_window_step_equals_the_per_window_oracle_bit_for_bit(monkeypatch, variant):
+    windows, params, cfg = six_utterance_step(6, variant=variant)
+    assert len(windows) == 1
+    cw = np.asarray(tr.TrainConfig().class_weights)
+    want_loss, want = per_window_step(windows, params, cfg, cw, (0.3, ad.seeded_rng(0, stream=2)))
+    loss, got = step_gradients(monkeypatch, windows, params, cfg, (0.3, ad.seeded_rng(0, stream=2)))
+    assert loss == want_loss
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("variant, attention", [("sa-bilstm", 1), ("bilstm", 0)])
+@pytest.mark.parametrize("window_size", [1, 2, 6])
+def test_a_step_tapes_one_lookup_encoder_and_attention_whatever_its_windows(
+    monkeypatch, variant, attention, window_size
+):
+    windows, params, cfg = six_utterance_step(window_size, variant=variant)
+    assert len(windows) == math.ceil(6 / window_size)
+    backward, ops = ad.backward, []
+
+    def spy(tape, loss):
+        ops.extend(rule.__qualname__.split(".")[0] for _, _, rule in tape._records)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    step_gradients(monkeypatch, windows, params, cfg, (0.3, ad.seeded_rng(0, stream=2)))
+    assert ops.count("gather_rows") == 1
+    assert ops.count("bilstm_max") == 1
+    assert ops.count("self_attention") == attention
 
 
 @pytest.mark.parametrize(
